@@ -1,22 +1,18 @@
-"""PERF GUARD: the fast L2 backend must stay fast *and* bit-identical.
+"""PERF GUARD: the simulator's L2 must stay fast *and* bit-identical.
 
-Two floored guards plus one reported-only data point, all measured
-with the statistical harness (``repro.obs.bench.run_benchmark``:
-warmup + repeats, floors asserted on the **median** ratio) so a single
-scheduler hiccup on a noisy CI runner can no longer fail the job.
-Floors are deliberately conservative (measured median ratios on the
-development machine are noted inline; the floors leave ~2x headroom
-for slower CI runners):
+One floored guard plus one reported-only data point, measured with the
+statistical harness (``repro.obs.bench.run_benchmark``: warmup +
+repeats, floor asserted on the **median** ratio) so a single scheduler
+hiccup on a noisy CI runner can no longer fail the job.  The floor is
+deliberately conservative (the measured median ratio on the development
+machine is noted inline; the floor leaves ~2x headroom for slower CI
+runners):
 
 * **raw replay** — the production-shaped stream (a real kernel's
   concatenated per-block line arrays, the exact stream shape the
-  launch simulator replays) through the reference engine's inlined
-  ``access_stream`` loop vs. the fast engine's ``replay_arrays``.
-  Measured ~3.5-5x; floor 1.8x.
-* **end-to-end fig5** — the full HSOpticalFlow comparison under both
-  backends.  The experiment is scheduler-heavy (cache replay is ~1/3
-  of the reference profile), so the end-to-end ratio is Amdahl-bound
-  well below the raw ratio.  Measured ~1.25-1.30x; floor 1.05x.
+  launch simulator replays) through the list-based oracle's inlined
+  ``access_stream`` loop (``tests/oracles.py``) vs. the vectorized
+  engine's ``replay_arrays``.  Measured ~3.5-5x; floor 1.8x.
 * **adversarial stream** — uniform-random lines maximize the per-set
   access depth (the round count), the vectorized engine's degenerate
   regime; measured ~0.6-2x vs ``access_stream`` depending on the
@@ -24,8 +20,8 @@ for slower CI runners):
   the trend, not floored: the simulator never produces this shape, but
   pretending it doesn't exist would be dishonest benchmarking.
 
-Every floored guard asserts exact equality of results before it looks
-at the clock: a fast-but-wrong backend must fail here, not in CI
+The floored guard asserts exact equality of results before it looks
+at the clock: a fast-but-wrong engine must fail here, not in CI
 statistics.  Measured medians/MADs land in ``BENCH_perf.json`` (and
 the CI job summary) so the trend stays visible while the floors stay
 conservative.  The whole module carries the ``perf`` marker: tier-1
@@ -41,7 +37,6 @@ from conftest import replay_workload, scattered_workload, update_bench_json
 pytestmark = pytest.mark.perf
 
 RAW_FLOOR = 1.8
-FIG5_FLOOR = 1.05
 
 L2_GEOMETRY = dict(num_sets=1024, assoc=16, line_bytes=128)  # GTX 960M
 
@@ -56,9 +51,9 @@ def _stats_payload(result):
 
 
 def test_raw_replay_speedup():
-    from repro.gpusim.cache import SetAssocCache
     from repro.gpusim.fast_cache import FastSetAssocCache
     from repro.obs.bench import run_benchmark
+    from tests.oracles import SetAssocCache
 
     lines, writes = replay_workload()
     stream = list(zip((int(l) for l in lines), (bool(w) for w in writes)))
@@ -130,54 +125,6 @@ def test_raw_replay_speedup():
         },
     )
     assert ratio >= RAW_FLOOR, (
-        f"fast backend raw replay only {ratio:.2f}x over reference "
+        f"vectorized raw replay only {ratio:.2f}x over the oracle "
         f"(floor {RAW_FLOOR}x, median of {ref_res.repeats})"
-    )
-
-
-def test_fig5_end_to_end_speedup():
-    from repro.experiments import run_fig5
-    from repro.obs.bench import run_benchmark
-
-    # Identity first: every row of the comparison table must be equal,
-    # not approximately equal — the backends share no float slack.
-    ref = run_fig5(backend="reference")
-    fast = run_fig5(backend="fast")
-    assert fast.report.rows == ref.report.rows
-    assert {str(k): str(v) for k, v in fast.plan_stats.items()} == {
-        str(k): str(v) for k, v in ref.plan_stats.items()
-    }
-
-    # The experiment is expensive, so no extra warmup runs: the median
-    # of 3 already shrugs off a slow first repeat.
-    ref_res = run_benchmark(
-        "fig5.reference",
-        lambda tracer: run_fig5(backend="reference"),
-        repeats=3, warmup=0,
-    )
-    fast_res = run_benchmark(
-        "fig5.fast",
-        lambda tracer: run_fig5(backend="fast"),
-        repeats=3, warmup=0,
-    )
-    ratio = ref_res.wall.median / fast_res.wall.median
-
-    print(
-        f"\nfig5: reference {ref_res.wall.median:.3f}s "
-        f"fast {fast_res.wall.median:.3f}s -> {ratio:.2f}x"
-    )
-    update_bench_json(
-        "BENCH_perf.json",
-        "fig5_end_to_end",
-        {
-            "reference": _stats_payload(ref_res),
-            "fast": _stats_payload(fast_res),
-            "speedup": round(ratio, 2),
-            "floor": FIG5_FLOOR,
-            "report": fast.report.as_dict(),
-        },
-    )
-    assert ratio >= FIG5_FLOOR, (
-        f"fig5 under the fast backend only {ratio:.2f}x over reference "
-        f"(floor {FIG5_FLOOR}x, median of {ref_res.repeats})"
     )

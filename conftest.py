@@ -1,19 +1,16 @@
 """Repository-root pytest configuration.
 
-Adds ``--sim-backend`` so the whole suite can be exercised against
-either L2 replay engine (see :mod:`repro.gpusim.fast_cache`),
-``--planner-backend`` so it can be exercised against either merge
-planner (see :mod:`repro.core.fast_cluster`), and ``--workers`` so it
-can be exercised with the parallel pipeline stages fanned out over
-processes (see :mod:`repro.parallel`).  All selections are exported
-through the same environment hooks the CLI honours
-(``KTILER_SIM_BACKEND`` / ``KTILER_PLANNER_BACKEND`` /
-``KTILER_WORKERS``) before any test runs, so no individual test needs
-to thread them explicitly.
+Adds ``--planner-backend`` so the whole suite can be exercised against
+either merge planner (see :mod:`repro.core.fast_cluster`), and
+``--workers`` so it can be exercised with the parallel pipeline stages
+fanned out over processes (see :mod:`repro.parallel`).  Both selections
+are exported through the same environment hooks the CLI honours
+(``KTILER_PLANNER_BACKEND`` / ``KTILER_WORKERS``) before any test runs,
+so no individual test needs to thread them explicitly.
 
-CI runs the tier-1 suite once per backend (sim and planner) plus a
+CI runs the tier-1 suite once per planner backend plus a
 ``--workers=2`` leg; every leg must pass with identical results because
-the fast engines are bit-exact by contract and the parallel stages are
+the fast planner is bit-exact by contract and the parallel stages are
 bit-identical to the serial oracle by construction.
 """
 
@@ -22,18 +19,10 @@ from __future__ import annotations
 import os
 
 from repro.core.fast_cluster import PLANNER_BACKEND_ENV_VAR, PLANNER_BACKENDS
-from repro.gpusim.fast_cache import BACKEND_ENV_VAR, BACKENDS
 from repro.parallel import WORKERS_ENV_VAR
 
 
 def pytest_addoption(parser):
-    parser.addoption(
-        "--sim-backend",
-        choices=BACKENDS,
-        default=None,
-        help="L2 replay engine for every simulator built during the run "
-        f"(sets {BACKEND_ENV_VAR}; default: leave the environment as-is)",
-    )
     parser.addoption(
         "--planner-backend",
         choices=PLANNER_BACKENDS,
@@ -52,9 +41,6 @@ def pytest_addoption(parser):
 
 
 def pytest_configure(config):
-    backend = config.getoption("--sim-backend")
-    if backend is not None:
-        os.environ[BACKEND_ENV_VAR] = backend
     planner = config.getoption("--planner-backend")
     if planner is not None:
         os.environ[PLANNER_BACKEND_ENV_VAR] = planner
@@ -65,13 +51,6 @@ def pytest_configure(config):
 
 def pytest_report_header(config):
     parts = []
-    backend = os.environ.get(BACKEND_ENV_VAR)
-    if backend:
-        parts.append(f"sim backend: {backend} ({BACKEND_ENV_VAR})")
-    else:
-        parts.append(
-            "sim backend: per-call defaults (reference core, fast experiments)"
-        )
     planner = os.environ.get(PLANNER_BACKEND_ENV_VAR)
     if planner:
         parts.append(

@@ -49,7 +49,6 @@ from repro.experiments import (
 )
 from repro.experiments.presets import PAPER_SPEC, SCALED_SPEC
 from repro.gpusim.arch import GpuSpec, spec_with_l2
-from repro.gpusim.fast_cache import BACKEND_ENV_VAR, BACKENDS
 from repro.obs import (
     NULL_TRACER,
     PROFILE_SCHEMA_VERSION,
@@ -67,16 +66,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="override the simulated L2 size in KiB",
-    )
-    parser.add_argument(
-        "--sim-backend",
-        choices=BACKENDS,
-        default=None,
-        help=(
-            "L2 replay engine: 'reference' (list-based oracle) or 'fast' "
-            f"(vectorized, bit-identical); default from ${BACKEND_ENV_VAR} "
-            "or the experiment's own default"
-        ),
     )
     parser.add_argument(
         "--planner-backend",
@@ -214,10 +203,6 @@ def _finish_obs(args: argparse.Namespace, tracer) -> None:
         )
 
 
-def _backend(args: argparse.Namespace) -> Optional[str]:
-    return getattr(args, "sim_backend", None)
-
-
 def _planner_backend(args: argparse.Namespace) -> Optional[str]:
     return getattr(args, "planner_backend", None)
 
@@ -241,7 +226,6 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
         image_size=args.size,
         spec=_resolve_spec(PAPER_SPEC, args),
         tracer=tracer,
-        backend=_backend(args),
         store=_store(args, tracer),
     )
     print(result.format_table())
@@ -256,7 +240,6 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
         spec=_resolve_spec(PAPER_SPEC, args),
         with_split_comparison=not args.no_split,
         tracer=tracer,
-        backend=_backend(args),
         workers=_workers(args),
     )
     print(result.format_table())
@@ -281,7 +264,6 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
         spec=_resolve_spec(SCALED_SPEC, args),
         check_functional=args.check_functional,
         tracer=tracer,
-        backend=_backend(args),
         workers=_workers(args),
         store=_store(args, tracer),
         planner_backend=_planner_backend(args),
@@ -295,7 +277,6 @@ def _cmd_suitability(args: argparse.Namespace) -> int:
     tracer = _make_tracer(args)
     result = run_suitability(
         spec=_resolve_spec(PAPER_SPEC, args), tracer=tracer,
-        backend=_backend(args),
     )
     print(result.format_table())
     _finish_obs(args, tracer)
@@ -310,7 +291,6 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
         "gap": gap_sweep,
     }
     result = sweeps[args.knob](
-        backend=_backend(args),
         workers=_workers(args),
         store=_store(args, tracer),
         tracer=tracer,
@@ -332,7 +312,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     ktiler = KTiler(
         app.graph,
         config=KTilerConfig(launch_overhead_us=2.0),
-        backend=_backend(args),
         planner_backend=_planner_backend(args),
     )
     plan = ktiler.plan(NOMINAL)
@@ -391,7 +370,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         spec=spec,
         config=KTilerConfig(launch_overhead_us=spec.launch_gap_us),
         tracer=tracer,
-        backend=_backend(args),
         workers=_workers(args),
         store=_store(args, tracer),
         planner_backend=_planner_backend(args),
@@ -449,7 +427,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         spec=spec,
         config=KTilerConfig(launch_overhead_us=spec.launch_gap_us),
         tracer=tracer,
-        backend=_backend(args),
         workers=_workers(args),
         store=_store(args, tracer),
         planner_backend=_planner_backend(args),
@@ -504,7 +481,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         spec=spec,
         config=KTilerConfig(launch_overhead_us=spec.launch_gap_us),
         tracer=tracer,
-        backend=_backend(args),
         workers=_workers(args),
         store=_store(args, tracer),
         planner_backend=_planner_backend(args),
@@ -580,7 +556,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         app,
         spec=spec,
         engine=engine,
-        backend=_backend(args),
         workers=_workers(args),
         tracer=tracer,
         planner_backend=_planner_backend(args),
@@ -606,7 +581,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             repeats=args.repeats,
             warmup=args.warmup,
             spec=spec,
-            backend=_backend(args),
             workers=_workers(args),
             seed=args.seed,
             image_size=args.size or 32,
@@ -625,7 +599,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         app.graph.name if hasattr(app.graph, "name") else args.preset,
         capture=capture,
         sweep=sweep,
-        backend=_backend(args),
         workers=_workers(args),
         planner_backend=_planner_backend(args),
     )
@@ -719,7 +692,6 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
         scale=args.scale,
         repeats=args.repeats,
         warmup=args.warmup,
-        backend=_backend(args),
         workers=_workers(args),
         log=lambda line: print(line, file=sys.stderr),
         planner_backend=_planner_backend(args),
@@ -811,7 +783,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = PlanService(
         tracer=tracer,
         store=_store(args, tracer),
-        sim_backend=_backend(args),
         planner_backend=_planner_backend(args),
         workers=_workers(args),
         timeout_s=args.timeout_s,
@@ -851,8 +822,6 @@ def _client_request_body(args: argparse.Namespace) -> dict:
         if args.mem_mhz is not None:
             freq["mem_mhz"] = args.mem_mhz
         body["freq"] = freq
-    if _backend(args) is not None:
-        body["sim_backend"] = _backend(args)
     if _planner_backend(args) is not None:
         body["planner_backend"] = _planner_backend(args)
     if _workers(args) is not None:
@@ -994,7 +963,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         distinct=args.distinct,
         seed=args.seed,
         app_params=app_params or None,
-        sim_backend=_backend(args),
         planner_backend=_planner_backend(args),
         workers=_workers(args),
         log=lambda message: print(message, file=sys.stderr),
@@ -1063,8 +1031,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="two-kernel quickstart (Figure 1)")
     p.add_argument("--size", type=int, default=1024, help="image side")
-    p.add_argument("--sim-backend", choices=BACKENDS, default=None,
-                   help="L2 replay engine (reference|fast)")
     p.add_argument("--planner-backend", choices=PLANNER_BACKENDS,
                    default=None,
                    help="merge planner (reference|fast)")
@@ -1214,8 +1180,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="baseline bench-run JSON to check against")
     b.add_argument("--update-baseline", metavar="PATH", default=None,
                    help="also write this run as the new baseline")
-    b.add_argument("--sim-backend", choices=BACKENDS, default=None,
-                   help="L2 replay engine (recorded in the fingerprint)")
     b.add_argument("--planner-backend", choices=PLANNER_BACKENDS,
                    default=None,
                    help="merge planner (exported to the environment and "

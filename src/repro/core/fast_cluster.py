@@ -10,8 +10,8 @@ chain-ladder sweep pinned at ~n^2.2 ``planner.merge_probes``; and its
 (O(V+E) per adopted merge).  This backend is **bit-identical by
 contract**: same ``can_merge`` verdicts, same quotient adjacency, same
 :meth:`topo_order`, and therefore the same adopted-merge sequences,
-schedules, and golden fixtures for any planner backend × sim backend ×
-worker count × store temperature.  ``tests/test_partition_differential.py``
+schedules, and golden fixtures for any planner backend × worker count
+× store temperature.  ``tests/test_partition_differential.py``
 enforces the contract on hypothesis-generated DAGs and probe graphs.
 
 How the reachability index works
@@ -53,14 +53,13 @@ remain comparable across planner backends, and the new
 repairing the index.  Both belong to the *validity family*
 (:data:`repro.core.work.VALIDITY_COUNTERS`): deterministic for a given
 planner backend but **planner-backend-local** by design, which is why
-the planner backend participates in the plan-store fingerprint while
-the sim backend does not.
+the planner backend participates in the plan-store fingerprint.
 
 Backend selection
 -----------------
-:func:`resolve_planner_backend` mirrors the sim-backend selector
-(:func:`repro.gpusim.fast_cache.resolve_backend`): explicit argument >
-``KTILER_PLANNER_BACKEND`` environment variable > caller default.  The
+With :func:`resolve_planner_backend`, an explicit argument wins over
+the ``KTILER_PLANNER_BACKEND`` environment variable, which wins over
+the caller's default.  The
 core :class:`~repro.core.ktiler.KTiler` defaults to the reference
 partition (the oracle); the experiment/profile/bench drivers default to
 the fast backend.  ``pytest --planner-backend=...`` (root

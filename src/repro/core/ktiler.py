@@ -37,7 +37,6 @@ from repro.errors import ConfigurationError
 from repro.gpusim.arch import GpuSpec
 from repro.gpusim.dram import DramModel
 from repro.gpusim.executor import GpuSimulator, time_launch
-from repro.gpusim.fast_cache import resolve_backend
 from repro.gpusim.freq import FrequencyConfig, NOMINAL
 from repro.graph.block_graph import BlockDependencyGraph
 from repro.graph.kernel_graph import KernelGraph
@@ -87,7 +86,6 @@ class KTiler:
         spec: Optional[GpuSpec] = None,
         config: Optional[KTilerConfig] = None,
         tracer=NULL_TRACER,
-        backend: Optional[str] = None,
         workers: Optional[int] = None,
         store=None,
         planner_backend: Optional[str] = None,
@@ -97,14 +95,12 @@ class KTiler:
         self.spec = spec if spec is not None else GpuSpec()
         self.config = config if config is not None else KTilerConfig()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.backend = resolve_backend(backend)
         self.planner_backend = resolve_planner_backend(planner_backend)
         self.workers = resolve_workers(workers)
         self.store = store if store is not None else NULL_STORE
         self.profiler = KernelProfiler(
             self.spec,
             self.config.grid_fractions,
-            backend=self.backend,
             workers=self.workers,
             store=self.store,
             tracer=self.tracer,
@@ -135,9 +131,7 @@ class KTiler:
             # cache traffic is analysis input, not a measurement, and
             # would pollute the sim.* counters.
             with self.tracer.span("ktiler.instrument", cat="analyzer"):
-                self._run = run_instrumented(
-                    self.graph, GpuSimulator(self.spec, backend=self.backend)
-                )
+                self._run = run_instrumented(self.graph, GpuSimulator(self.spec))
             if key is not None:
                 self.store.put(
                     "trace", key, instrumented_run_to_dict(self._run)
@@ -289,7 +283,7 @@ class KTiler:
         pending = [f for f in freqs if f not in self._plans]
         if len(pending) > 1 and workers > 1:
             tasks = [
-                (self.graph, self.spec, self.config, freq, self.backend,
+                (self.graph, self.spec, self.config, freq,
                  self.planner_backend, self.store)
                 for freq in pending
             ]
@@ -358,13 +352,13 @@ def _plan_task(task) -> TilingResult:
     """Worker-side per-frequency plan (module-level for pickling).
 
     Builds a serial (workers=1) KTiler so workers never nest pools; the
-    backend strings were resolved by the parent.  A pickled
+    planner backend was resolved by the parent.  A pickled
     ArtifactStore travels as its root path, so warm artifacts are
     shared.
     """
-    graph, spec, config, freq, backend, planner_backend, store = task
+    graph, spec, config, freq, planner_backend, store = task
     tiler = KTiler(
-        graph, spec, config, backend=backend, workers=1, store=store,
+        graph, spec, config, workers=1, store=store,
         planner_backend=planner_backend,
     )
     return tiler.plan(freq)

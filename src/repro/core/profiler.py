@@ -75,11 +75,10 @@ def _tally_task(task) -> LaunchTally:
     A fresh simulator with a flushed L2 is state-identical to the
     parent's ``reset_cache()`` path, and ``tally_launch`` counts on
     private per-SM counters — so the tally is bit-identical to the one
-    the serial loop produces.  The backend string was resolved in the
-    parent (forked workers may hold a stale ``$KTILER_SIM_BACKEND``).
+    the serial loop produces.
     """
-    kernel, combo, grid, spec, backend = task
-    sim = GpuSimulator(spec, backend=backend)
+    kernel, combo, grid, spec = task
+    sim = GpuSimulator(spec)
     blocks = range(grid)
     if combo:
         sim.l2.touch_many(
@@ -101,9 +100,9 @@ def _profile_kernel_task(task) -> List[LaunchTally]:
     starts from a fresh simulator, so every one is bit-identical to
     serial.
     """
-    kernel, combos, ladder, spec, backend = task
+    kernel, combos, ladder, spec = task
     return [
-        _tally_task((kernel, combo, grid, spec, backend))
+        _tally_task((kernel, combo, grid, spec))
         for combo in combos
         for grid in ladder
     ]
@@ -139,12 +138,11 @@ class KernelProfiler:
         self,
         spec: Optional[GpuSpec] = None,
         grid_fractions: Sequence[float] = DEFAULT_GRID_FRACTIONS,
-        backend: Optional[str] = None,
         workers: Optional[int] = None,
         store=NULL_STORE,
         tracer=NULL_TRACER,
     ):
-        self.sim = GpuSimulator(spec, backend=backend)
+        self.sim = GpuSimulator(spec)
         self.grid_fractions = tuple(grid_fractions)
         self.workers = resolve_workers(workers)
         self.store = store if store is not None else NULL_STORE
@@ -241,10 +239,7 @@ class KernelProfiler:
                 for grid in missing:
                     profile.tallies[(combo, grid)] = prefetched[grid]
             elif self.workers > 1 and len(missing) > 1:
-                tasks = [
-                    (kernel, combo, grid, self.spec, self.sim.backend)
-                    for grid in missing
-                ]
+                tasks = [(kernel, combo, grid, self.spec) for grid in missing]
                 tallies = parallel_map(
                     _tally_task, tasks, workers=self.workers,
                     tracer=self.tracer, label="profile",
@@ -307,16 +302,14 @@ class KernelProfiler:
                         continue
                 combos.append(combo)
             if combos:
-                tasks.append(
-                    (kernel, combos, ladder, self.spec, self.sim.backend)
-                )
+                tasks.append((kernel, combos, ladder, self.spec))
         if len(tasks) < 2:
             return
         results = parallel_map(
             _profile_kernel_task, tasks, workers=self.workers,
             tracer=self.tracer, label="profile.graph",
         )
-        for (kernel, combos, ladder, _, _), tallies in zip(tasks, results):
+        for (kernel, combos, ladder, _), tallies in zip(tasks, results):
             it = iter(tallies)
             for combo in combos:
                 self._prefetched[(kernel, combo)] = {

@@ -5,7 +5,6 @@ time; these counters say *how much work* it did — in units that are a
 pure function of (graph, GpuSpec, config, frequency).  They are the
 scheduler-side analogue of the simulator's hit/miss counters: cheap
 integer increments on the Algorithm 1/2 hot paths, bit-identical across
-sim backends (both engines replay identically by contract) and across
 worker counts (per-cluster work travels inside the
 :class:`~repro.core.cluster_tile.ClusterTiling` a speculative worker
 returns, and is charged when the merge loop *consumes* the tiling —
@@ -52,8 +51,7 @@ validity, so they are deterministic per planner backend but differ
 *between* planner backends by design.  Every other counter is
 bit-identical across planner backends too (same decisions, same
 Algorithm 2 work).  This is why the planner backend participates in
-the plan-store fingerprint while the sim backend does not (see
-:mod:`repro.store.fingerprint`).
+the plan-store fingerprint (see :mod:`repro.store.fingerprint`).
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ from repro.apps.synthetic import build_jacobi_pingpong
 from repro.core.ktiler import KTiler, KTilerConfig
 from repro.gpusim import GpuSpec
 from repro.core.fast_cluster import resolve_planner_backend
-from repro.gpusim.fast_cache import resolve_backend
 from repro.gpusim.freq import FrequencyConfig, NOMINAL
 from repro.graph.kernel_graph import KernelGraph
 from repro.parallel import parallel_map, resolve_workers
@@ -72,23 +71,22 @@ def _measure(
     freq: FrequencyConfig,
     config: KTilerConfig,
     gap_us: float,
-    backend: Optional[str] = None,
     store=None,
     planner_backend: Optional[str] = None,
 ) -> AblationRow:
     ktiler = KTiler(
-        graph, spec=spec, config=config, backend=backend, store=store,
+        graph, spec=spec, config=config, store=store,
         planner_backend=planner_backend,
     )
     plan = ktiler.plan(freq)
     default_run = measure_at(
         tally_schedule(
-            ktiler.default_schedule(), graph, spec, backend=backend
+            ktiler.default_schedule(), graph, spec
         ),
         spec, freq, gap_us,
     )
     tiled_run = measure_at(
-        tally_schedule(plan.schedule, graph, spec, backend=backend),
+        tally_schedule(plan.schedule, graph, spec),
         spec, freq, gap_us,
     )
     return AblationRow(
@@ -125,7 +123,6 @@ def threshold_sweep(
     spec: Optional[GpuSpec] = None,
     freq: FrequencyConfig = NOMINAL,
     gap_us: float = 1.0,
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     store=None,
     tracer=None,
@@ -133,7 +130,6 @@ def threshold_sweep(
 ) -> AblationResult:
     from repro.obs.tracer import NULL_TRACER
 
-    backend = resolve_backend(backend, default="fast")
     planner_backend = resolve_planner_backend(planner_backend, default="fast")
     used_spec = spec if spec is not None else GpuSpec(l2_bytes=512 * 1024)
     graph = _default_app()
@@ -141,7 +137,7 @@ def threshold_sweep(
         (
             graph, used_spec, freq,
             KTilerConfig(threshold_us=threshold, launch_overhead_us=gap_us),
-            gap_us, backend, store, planner_backend,
+            gap_us, store, planner_backend,
         )
         for threshold in thresholds
     ]
@@ -159,7 +155,6 @@ def cache_sweep(
     ),
     freq: FrequencyConfig = NOMINAL,
     gap_us: float = 1.0,
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     store=None,
     tracer=None,
@@ -167,14 +162,13 @@ def cache_sweep(
 ) -> AblationResult:
     from repro.obs.tracer import NULL_TRACER
 
-    backend = resolve_backend(backend, default="fast")
     planner_backend = resolve_planner_backend(planner_backend, default="fast")
     graph = _default_app()
     tasks = [
         (
             graph, GpuSpec(l2_bytes=l2_bytes), freq,
             KTilerConfig(launch_overhead_us=gap_us),
-            gap_us, backend, store, planner_backend,
+            gap_us, store, planner_backend,
         )
         for l2_bytes in l2_sizes
     ]
@@ -190,7 +184,6 @@ def gap_sweep(
     gaps_us: Sequence[float] = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0),
     spec: Optional[GpuSpec] = None,
     freq: FrequencyConfig = NOMINAL,
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     store=None,
     tracer=None,
@@ -198,7 +191,6 @@ def gap_sweep(
 ) -> AblationResult:
     from repro.obs.tracer import NULL_TRACER
 
-    backend = resolve_backend(backend, default="fast")
     planner_backend = resolve_planner_backend(planner_backend, default="fast")
     used_spec = spec if spec is not None else GpuSpec(l2_bytes=512 * 1024)
     graph = _default_app()
@@ -206,7 +198,7 @@ def gap_sweep(
         (
             graph, used_spec, freq,
             KTilerConfig(launch_overhead_us=gap),
-            gap, backend, store, planner_backend,
+            gap, store, planner_backend,
         )
         for gap in gaps_us
     ]

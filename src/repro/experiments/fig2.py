@@ -24,7 +24,6 @@ from typing import List, Optional
 from repro.analyzer import build_block_graph, run_instrumented
 from repro.apps.synthetic import build_jacobi_pingpong
 from repro.gpusim import GpuSimulator, GpuSpec, KernelProfile, NOMINAL
-from repro.gpusim.fast_cache import resolve_backend
 from repro.gpusim.freq import FrequencyConfig
 from repro.obs.tracer import NULL_TRACER
 
@@ -78,16 +77,13 @@ def run_fig2(
     freq: FrequencyConfig = NOMINAL,
     tiling_fraction: int = 32,
     tracer=NULL_TRACER,
-    backend: Optional[str] = None,
     store=None,
 ) -> Fig2Result:
     """Reproduce the Figure 2 experiment.
 
     ``image_size`` controls the Jacobi working set; at 512x512 the
     seven fields total ~7 MB against the default 2 MB L2, the same
-    thrashing regime as the paper's configuration.  ``backend``
-    selects the simulator's L2 replay engine; experiments default to
-    the fast (vectorized, bit-identical) engine.  ``store`` (an
+    thrashing regime as the paper's configuration.  ``store`` (an
     :class:`repro.store.ArtifactStore`) caches the analyzer step — the
     instrumented trace and block graph — so a repeated run skips the
     dependency extraction entirely.
@@ -103,7 +99,6 @@ def run_fig2(
     )
 
     used_spec = spec if spec is not None else GpuSpec()
-    backend = resolve_backend(backend, default="fast")
     store = store if store is not None else NULL_STORE
     app = build_jacobi_pingpong(iters=2, size=image_size)
     graph = app.graph
@@ -129,7 +124,7 @@ def run_fig2(
                     run = instrumented_run_from_dict(payload, graph, used_spec)
             if run is None:
                 run = run_instrumented(
-                    graph, GpuSimulator(used_spec, backend=backend)
+                    graph, GpuSimulator(used_spec)
                 )
                 if t_key is not None:
                     store.put("trace", t_key, instrumented_run_to_dict(run))
@@ -139,7 +134,7 @@ def run_fig2(
 
     # --- default mode: producer full grid, then profile the consumer.
     with tracer.span("fig2.default", cat="experiment"):
-        sim = GpuSimulator(used_spec, freq, tracer=tracer, backend=backend)
+        sim = GpuSimulator(used_spec, freq, tracer=tracer)
         for node in graph:
             if node.node_id == consumer.node_id:
                 break
@@ -153,7 +148,7 @@ def run_fig2(
         [(consumer.node_id, bid) for bid in sub_blocks]
     )
     with tracer.span("fig2.tiled", cat="experiment"):
-        sim = GpuSimulator(used_spec, freq, tracer=tracer, backend=backend)
+        sim = GpuSimulator(used_spec, freq, tracer=tracer)
         for node in graph:
             if node.node_id == consumer.node_id:
                 break

@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.apps.synthetic import build_jacobi_pingpong
 from repro.gpusim import GpuSimulator, GpuSpec
 from repro.gpusim.dram import DramModel
-from repro.gpusim.fast_cache import resolve_backend
 from repro.gpusim.executor import LaunchTally, time_launch
 from repro.gpusim.freq import FIG3_CONFIGS, FrequencyConfig
 from repro.parallel import parallel_map, resolve_workers
@@ -91,7 +90,6 @@ def _steady_state_tallies(
     launches_fn=None,
     tracer=None,
     app=None,
-    backend: Optional[str] = None,
 ) -> List[LaunchTally]:
     """Tallies of ping-pong Jacobi launches over a fixed block set.
 
@@ -103,7 +101,7 @@ def _steady_state_tallies(
     graph = app.graph
     even = graph.node_by_name("JI.0").kernel
     odd = graph.node_by_name("JI.1").kernel
-    sim = GpuSimulator(spec, tracer=tracer, backend=backend)
+    sim = GpuSimulator(spec, tracer=tracer)
     # Populate the constant fields once (ix/iy/it and the zero inits).
     for node in graph:
         if node.name.startswith("JI"):
@@ -126,12 +124,10 @@ def _grid_sweep_task(task) -> List[List[LaunchTally]]:
     boundaries cannot change any result.  One application build serves
     the whole chunk, amortizing the kernels' memoized line streams.
     """
-    spec, image_size, grids, backend = task
+    spec, image_size, grids = task
     app = build_jacobi_pingpong(iters=2, size=image_size)
     return [
-        _steady_state_tallies(
-            spec, image_size, range(grid), app=app, backend=backend
-        )
+        _steady_state_tallies(spec, image_size, range(grid), app=app)
         for grid in grids
     ]
 
@@ -143,15 +139,12 @@ def run_fig3(
     grid_sizes: Optional[Sequence[int]] = None,
     with_split_comparison: bool = True,
     tracer=None,
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
 ) -> Fig3Result:
     """Reproduce the Figure 3 sweep.
 
     One cache replay per grid size serves every frequency configuration
-    (cache behaviour is frequency-independent).  ``backend`` selects
-    the simulator's L2 replay engine; experiments default to the fast
-    (vectorized, bit-identical) engine.  ``workers`` spreads the
+    (cache behaviour is frequency-independent).  ``workers`` spreads the
     per-grid replays over processes; the throughput tables are
     bit-identical for any worker count.
     """
@@ -159,7 +152,6 @@ def run_fig3(
 
     if tracer is None:
         tracer = NULL_TRACER
-    backend = resolve_backend(backend, default="fast")
     workers = resolve_workers(workers)
     used_spec = spec if spec is not None else GpuSpec()
     dram = DramModel.from_spec(used_spec)
@@ -176,7 +168,7 @@ def run_fig3(
         chunks = [c for c in chunks if c]
         results = parallel_map(
             _grid_sweep_task,
-            [(used_spec, image_size, chunk, backend) for chunk in chunks],
+            [(used_spec, image_size, chunk) for chunk in chunks],
             workers=workers,
             tracer=tracer,
             label="fig3.grid",
@@ -198,7 +190,6 @@ def run_fig3(
                         range(grid),
                         tracer=tracer,
                         app=app,
-                        backend=backend,
                     )
                 )
     throughput: Dict[FrequencyConfig, List[float]] = {c: [] for c in configs}
@@ -221,7 +212,7 @@ def run_fig3(
     if with_split_comparison and max_blocks >= 1000 and len(configs) >= 3:
         series1, series3 = configs[0], configs[2]
         one = _steady_state_tallies(
-            used_spec, image_size, range(1000), app=app, backend=backend
+            used_spec, image_size, range(1000), app=app
         )
         split["one_launch_high_freq"] = sum(t.num_blocks for t in one) / sum(
             time_launch(t, used_spec, dram, series3).time_us for t in one
@@ -231,7 +222,7 @@ def run_fig3(
         total_blocks = 0
         for quarter in quarters:
             tallies = _steady_state_tallies(
-                used_spec, image_size, quarter, app=app, backend=backend
+                used_spec, image_size, quarter, app=app
             )
             total_us += sum(
                 time_launch(t, used_spec, dram, series1).time_us for t in tallies

@@ -29,7 +29,6 @@ from repro.experiments.presets import (
 )
 from repro.gpusim import GpuSpec
 from repro.core.fast_cluster import resolve_planner_backend
-from repro.gpusim.fast_cache import resolve_backend
 from repro.gpusim.freq import FIG5_CONFIGS, FrequencyConfig
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.functional import schedules_equivalent
@@ -77,7 +76,6 @@ def run_fig5(
     threshold_us: float = 0.0,
     check_functional: bool = False,
     tracer=NULL_TRACER,
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     store=None,
     planner_backend: Optional[str] = None,
@@ -87,15 +85,12 @@ def run_fig5(
     Pass an enabled :class:`repro.obs.Tracer` to capture scheduler
     decisions, per-launch counters, and the default/tiled timelines of
     every operating point (``ktiler fig5 --trace out.json``).
-    ``backend`` selects the simulator's L2 replay engine; experiments
-    default to the fast (vectorized, bit-identical) engine.
     ``workers`` fans the per-frequency plans and cache replays out
     across processes; ``store`` (an :class:`repro.store.ArtifactStore`)
     makes reruns of the same configuration serve schedules, profiles
     and replays from disk.  Both leave the result bit-identical.
     """
     used_spec = spec if spec is not None else SCALED_SPEC
-    backend = resolve_backend(backend, default="fast")
     planner_backend = resolve_planner_backend(planner_backend, default="fast")
     app = build_hsopticalflow(
         frame_size=frame_size, levels=levels, jacobi_iters=jacobi_iters
@@ -108,7 +103,6 @@ def run_fig5(
             launch_overhead_us=used_spec.launch_gap_us,
         ),
         tracer=tracer,
-        backend=backend,
         workers=workers,
         store=store,
         planner_backend=planner_backend,

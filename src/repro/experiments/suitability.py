@@ -24,7 +24,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.gpusim import GpuSimulator, GpuSpec, NOMINAL
 from repro.gpusim.dram import DramModel
 from repro.gpusim.executor import time_launch
-from repro.gpusim.fast_cache import resolve_backend
 from repro.gpusim.freq import FrequencyConfig
 from repro.graph.buffers import BufferAllocator
 from repro.kernels import (
@@ -164,13 +163,12 @@ def _kernel_zoo(n_1d: int, img: int) -> List[Tuple[str, object]]:
 
 def _profile_kernel(
     kernel, spec: GpuSpec, freq: FrequencyConfig, min_fraction: int,
-    backend: Optional[str] = None,
 ) -> SuitabilityRow:
     dram = DramModel.from_spec(spec)
     line_shift = spec.line_shift
 
     # Default grid, cold cache.
-    sim = GpuSimulator(spec, freq, backend=backend)
+    sim = GpuSimulator(spec, freq)
     default_tally = sim.tally_launch(kernel)
     default_timing = time_launch(default_tally, spec, dram, freq)
 
@@ -180,7 +178,7 @@ def _profile_kernel(
     for bid in sub_blocks:
         reads, _ = kernel.block_line_sets(bid, line_shift)
         warm_lines |= reads
-    sim = GpuSimulator(spec, freq, backend=backend)
+    sim = GpuSimulator(spec, freq)
     sim.l2.touch_many(sorted(warm_lines))
     tiled_tally = sim.tally_launch(kernel, sub_blocks)
 
@@ -201,19 +199,17 @@ def run_suitability(
     image_size: int = 1024,
     min_fraction: int = 32,
     tracer=None,
-    backend: Optional[str] = None,
 ) -> SuitabilityResult:
     """Score the kernel zoo on the paper's three tiling conditions."""
     from repro.obs.tracer import NULL_TRACER
 
     if tracer is None:
         tracer = NULL_TRACER
-    backend = resolve_backend(backend, default="fast")
     used_spec = spec if spec is not None else GpuSpec()
     rows = []
     for _, kernel in _kernel_zoo(n_1d, image_size):
         with tracer.span("suitability.profile", cat="experiment", kernel=kernel.name):
-            row = _profile_kernel(kernel, used_spec, freq, min_fraction, backend)
+            row = _profile_kernel(kernel, used_spec, freq, min_fraction)
         rows.append(row)
         if tracer.enabled:
             m = tracer.metrics

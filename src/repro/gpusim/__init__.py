@@ -20,15 +20,9 @@ from repro.gpusim.arch import (
     GpuSpec,
     spec_with_l2,
 )
-from repro.gpusim.cache import CacheStats, SetAssocCache
+from repro.gpusim.cache import CacheStats
 from repro.gpusim.dram import DramModel
-from repro.gpusim.fast_cache import (
-    BACKEND_ENV_VAR,
-    BACKENDS,
-    FastSetAssocCache,
-    make_l2,
-    resolve_backend,
-)
+from repro.gpusim.fast_cache import FastSetAssocCache
 from repro.gpusim.executor import (
     GpuSimulator,
     LaunchResult,
@@ -55,12 +49,7 @@ __all__ = [
     "WARP_SIZE",
     "spec_with_l2",
     "CacheStats",
-    "SetAssocCache",
     "FastSetAssocCache",
-    "BACKENDS",
-    "BACKEND_ENV_VAR",
-    "make_l2",
-    "resolve_backend",
     "DramModel",
     "GpuSimulator",
     "LaunchResult",

@@ -1,28 +1,15 @@
-"""Set-associative LRU cache simulator.
+"""Hit/miss counters of the simulated L2.
 
-This models the GPU's shared L2 cache at line granularity.  Addresses
-are *line identifiers* (byte address right-shifted by the line-size
-log2); translating element accesses into line streams is the job of
-:mod:`repro.gpusim.access`.
-
-The simulator is deliberately simple — LRU replacement, allocate on
-read and write misses (write-allocate), no sectoring — because the
-scheduler in the paper only relies on the first-order property that a
-working set larger than the cache thrashes while a smaller one does
-not.
-
-Performance note: :meth:`SetAssocCache.access` is the hottest function
-in the whole reproduction (it runs once per memory transaction of every
-simulated launch), so it uses plain lists with MRU-at-the-end ordering
-rather than nicer abstractions.
+The L2 itself is :class:`repro.gpusim.fast_cache.FastSetAssocCache`, a
+set-associative LRU cache over line identifiers (byte address
+right-shifted by the line-size log2); translating element accesses into
+line streams is the job of :mod:`repro.gpusim.access`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
-
-from repro.errors import ConfigurationError
+from dataclasses import dataclass
+from typing import Tuple
 
 
 @dataclass
@@ -82,211 +69,3 @@ class CacheStats:
         metrics.inc(f"{prefix}.misses", self.misses, **labels)
         metrics.inc(f"{prefix}.evictions", self.evictions, **labels)
         metrics.inc(f"{prefix}.writes", self.writes, **labels)
-
-
-class SetAssocCache:
-    """A set-associative cache with LRU replacement over line ids.
-
-    Parameters
-    ----------
-    num_sets:
-        Number of cache sets (power of two recommended but not required).
-    assoc:
-        Associativity (ways per set).
-    line_bytes:
-        Line size in bytes; only used for capacity/footprint reporting.
-    """
-
-    def __init__(
-        self,
-        num_sets: int,
-        assoc: int,
-        line_bytes: int = 128,
-        hash_sets: bool = True,
-    ):
-        if num_sets <= 0 or assoc <= 0 or line_bytes <= 0:
-            raise ConfigurationError("cache geometry must be positive")
-        self.num_sets = num_sets
-        self.assoc = assoc
-        self.line_bytes = line_bytes
-        self.hash_sets = hash_sets
-        # XOR-fold the bits above the index into the index, as real GPU
-        # L2s do, so power-of-two strides (matrix columns, row starts)
-        # do not all alias into a handful of sets.  The fold width is
-        # the index width, precomputed for the hot path.
-        self._fold_shift = max(1, num_sets.bit_length() - 1)
-        self.stats = CacheStats()
-        # Optional passive observer (repro.obs.audit.MissAttributor).
-        # Must stay None on measurement paths: with an attributor
-        # attached, access_stream drops to a per-access loop.
-        self.attribution = None
-        # Each set is a list of line ids, LRU at index 0, MRU at the end.
-        self._sets: List[List[int]] = [[] for _ in range(num_sets)]
-
-    def set_index(self, line: int) -> int:
-        """Cache set of a line id (hashed unless hash_sets=False)."""
-        if self.hash_sets:
-            shift = self._fold_shift
-            line = line ^ (line >> shift) ^ (line >> (2 * shift))
-        return line % self.num_sets
-
-    def attach_attribution(self, attributor) -> None:
-        """Attach (or detach, with None) a passive per-access observer.
-
-        The observer sees every statistics-recorded access in stream
-        order (``touch_many`` warming excluded) and never mutates cache
-        state, so hit/miss outcomes and counters are unchanged.
-        """
-        self.attribution = attributor
-
-    @classmethod
-    def from_spec(cls, spec) -> "SetAssocCache":
-        """Build the L2 described by a :class:`repro.gpusim.arch.GpuSpec`."""
-        return cls(spec.l2_num_sets, spec.l2_assoc, spec.l2_line_bytes)
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.num_sets * self.assoc * self.line_bytes
-
-    @property
-    def capacity_lines(self) -> int:
-        return self.num_sets * self.assoc
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self._sets)
-
-    def access(self, line: int, is_write: bool = False) -> bool:
-        """Access one line; returns True on hit.
-
-        Misses allocate the line (write-allocate policy) and evict the
-        LRU way when the set is full.
-        """
-        cset = self._sets[self.set_index(line)]
-        stats = self.stats
-        if is_write:
-            stats.writes += 1
-        try:
-            idx = cset.index(line)
-        except ValueError:
-            stats.misses += 1
-            cset.append(line)
-            if len(cset) > self.assoc:
-                cset.pop(0)
-                stats.evictions += 1
-            if self.attribution is not None:
-                self.attribution.observe(line, is_write, False)
-            return False
-        stats.hits += 1
-        if idx != len(cset) - 1:
-            cset.pop(idx)
-            cset.append(line)
-        if self.attribution is not None:
-            self.attribution.observe(line, is_write, True)
-        return True
-
-    def access_stream(self, stream: Sequence[Tuple[int, bool]]) -> Tuple[int, int]:
-        """Replay a stream of ``(line, is_write)`` pairs.
-
-        Returns ``(hits, misses)`` for this stream only (global stats are
-        also updated).  Inlined version of :meth:`access` for speed.
-        """
-        if self.attribution is not None:
-            # Attribution path: per-access, so the observer sees every
-            # outcome in stream order.  The inlined loop below is the
-            # measurement path and must stay untouched.
-            access = self.access
-            hits = 0
-            misses = 0
-            for line, is_write in stream:
-                if access(line, is_write):
-                    hits += 1
-                else:
-                    misses += 1
-            return hits, misses
-        sets = self._sets
-        num_sets = self.num_sets
-        assoc = self.assoc
-        hashed = self.hash_sets
-        shift = self._fold_shift
-        shift2 = 2 * shift
-        hits = 0
-        misses = 0
-        writes = 0
-        evictions = 0
-        for line, is_write in stream:
-            if hashed:
-                cset = sets[(line ^ (line >> shift) ^ (line >> shift2)) % num_sets]
-            else:
-                cset = sets[line % num_sets]
-            if is_write:
-                writes += 1
-            try:
-                idx = cset.index(line)
-            except ValueError:
-                misses += 1
-                cset.append(line)
-                if len(cset) > assoc:
-                    cset.pop(0)
-                    evictions += 1
-            else:
-                hits += 1
-                if idx != len(cset) - 1:
-                    cset.pop(idx)
-                    cset.append(line)
-        stats = self.stats
-        stats.hits += hits
-        stats.misses += misses
-        stats.writes += writes
-        stats.evictions += evictions
-        return hits, misses
-
-    def contains(self, line: int) -> bool:
-        """True if the line is currently cached (does not touch LRU state)."""
-        return line in self._sets[self.set_index(line)]
-
-    def touch_many(self, lines: Iterable[int]) -> None:
-        """Install lines without recording statistics (cache warming)."""
-        sets = self._sets
-        assoc = self.assoc
-        set_index = self.set_index
-        for line in lines:
-            cset = sets[set_index(line)]
-            try:
-                idx = cset.index(line)
-            except ValueError:
-                cset.append(line)
-                if len(cset) > assoc:
-                    cset.pop(0)
-            else:
-                if idx != len(cset) - 1:
-                    cset.pop(idx)
-                    cset.append(line)
-
-    def resident_lines(self) -> List[int]:
-        """All currently cached line ids (unordered across sets)."""
-        out: List[int] = []
-        for cset in self._sets:
-            out.extend(cset)
-        return out
-
-    def flush(self) -> None:
-        """Invalidate the whole cache (statistics are preserved)."""
-        for cset in self._sets:
-            cset.clear()
-        if self.attribution is not None:
-            self.attribution.on_flush()
-
-    def clone_state(self) -> List[List[int]]:
-        """Snapshot of the set contents (for save/restore in profiling)."""
-        return [list(s) for s in self._sets]
-
-    def restore_state(self, state: List[List[int]]) -> None:
-        if len(state) != self.num_sets:
-            raise ConfigurationError("state does not match cache geometry")
-        self._sets = [list(s) for s in state]
-
-    def __repr__(self) -> str:
-        return (
-            f"SetAssocCache(sets={self.num_sets}, assoc={self.assoc}, "
-            f"line={self.line_bytes}B, resident={len(self)}/{self.capacity_lines})"
-        )

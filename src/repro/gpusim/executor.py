@@ -5,9 +5,10 @@ This is the substitute for the paper's physical GTX 960M.  A *launch*
 its blocks) is simulated in two steps:
 
 1. **Cache replay.**  Blocks are dispatched round-robin over the SMs in
-   block-id order and their warp-coalesced line streams are replayed
-   through the shared L2 (which persists across launches — the effect
-   KTILER exploits).  This yields per-SM hit/miss tallies.
+   block-id order and their warp-coalesced line streams are replayed,
+   concatenated in dispatch order, through the shared L2 (which
+   persists across launches — the effect KTILER exploits).  This yields
+   per-SM hit/miss tallies.
 2. **Timing.**  Per-SM cycles are computed from three components:
 
    * *issue cycles* — warp instructions divided by the SM's issue width;
@@ -37,9 +38,8 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.gpusim.arch import GpuSpec, WARP_SIZE
-from repro.gpusim.cache import SetAssocCache
 from repro.gpusim.dram import DramModel
-from repro.gpusim.fast_cache import make_l2, resolve_backend
+from repro.gpusim.fast_cache import FastSetAssocCache
 from repro.gpusim.freq import FrequencyConfig, NOMINAL
 from repro.obs.tracer import NULL_TRACER
 
@@ -212,12 +212,6 @@ class GpuSimulator:
     The simulator exposes CUDA-runtime-ish verbs: :meth:`launch` runs a
     (sub-)kernel, :meth:`copy_to_device` models a host-to-device
     transfer, and the cache persists until :meth:`reset_cache`.
-
-    ``backend`` selects the L2 replay engine: ``"reference"`` (the
-    exact list-based oracle) or ``"fast"`` (vectorized batched replay,
-    bit-identical stats — see :mod:`repro.gpusim.fast_cache`).  When
-    None, the ``KTILER_SIM_BACKEND`` environment variable decides,
-    defaulting to the reference engine.
     """
 
     def __init__(
@@ -225,13 +219,11 @@ class GpuSimulator:
         spec: GpuSpec = None,
         freq: FrequencyConfig = NOMINAL,
         tracer=NULL_TRACER,
-        backend: Optional[str] = None,
     ):
         self.spec = spec if spec is not None else GpuSpec()
         self.freq = freq
-        self.backend = resolve_backend(backend)
         self.dram = DramModel.from_spec(self.spec)
-        self.l2 = make_l2(self.spec, self.backend)
+        self.l2 = FastSetAssocCache.from_spec(self.spec)
         self.launches: List[LaunchResult] = []
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
@@ -296,7 +288,7 @@ class GpuSimulator:
             raise SimulationError(
                 f"launch of '{kernel.name}' with an empty block list"
             )
-        attribution = getattr(self.l2, "attribution", None)
+        attribution = self.l2.attribution
         if attribution is not None:
             attribution.begin_launch(kernel.name, num_blocks)
         nsms = self.spec.num_sms
@@ -307,58 +299,41 @@ class GpuSimulator:
         cache = self.l2
         tracer = self.tracer
         stats_before = cache.stats.snapshot() if tracer.enabled else None
-        if getattr(cache, "supports_batched_replay", False):
-            # Fast backend: concatenate every block's line stream and
-            # replay the whole launch in one vectorized call, then
-            # attribute hits back to blocks from the per-access mask.
-            # Blocks are concatenated in dispatch order, so the within-
-            # set access order — the only order LRU depends on — is
-            # exactly the reference backend's.
-            if isinstance(blocks, range):
-                all_lines, all_writes, lengths = kernel.range_line_arrays(
-                    blocks, line_shift
-                )
-            else:
-                per_block = [
-                    kernel.block_line_arrays(bid, line_shift) for bid in blocks
-                ]
-                lengths = np.array(
-                    [arr.size for arr, _ in per_block], dtype=np.int64
-                )
-                all_lines = np.concatenate([arr for arr, _ in per_block])
-                all_writes = np.concatenate([w for _, w in per_block])
-            hit_mask = cache.replay_arrays(all_lines, all_writes)
-            hit_cum = np.concatenate(
-                ([0], np.cumsum(hit_mask, dtype=np.int64))
+        # Concatenate every block's line stream and replay the whole
+        # launch in one vectorized call, then attribute hits back to
+        # blocks from the per-access mask.  Blocks are concatenated in
+        # dispatch order, so the within-set access order — the only
+        # order LRU depends on — is that of a block-by-block replay.
+        if isinstance(blocks, range):
+            all_lines, all_writes, lengths = kernel.range_line_arrays(
+                blocks, line_shift
             )
-            offset = 0
-            for i, bid in enumerate(blocks):
-                sm = i % nsms
-                end = offset + int(lengths[i])
-                hits = int(hit_cum[end] - hit_cum[offset])
-                misses = end - offset - hits
-                offset = end
-                bx, by = kernel.block_coords(bid)
-                per_sm_issue[sm] += (
-                    kernel.block_instrs(bx, by) / self.spec.schedulers_per_sm
-                )
-                per_sm_hits[sm] += hits
-                per_sm_misses[sm] += misses
-                if recorder is not None:
-                    recorder.record_block(kernel, bid, line_shift)
         else:
-            for i, bid in enumerate(blocks):
-                sm = i % nsms
-                stream = kernel.block_line_stream(bid, line_shift)
-                hits, misses = cache.access_stream(stream)
-                bx, by = kernel.block_coords(bid)
-                per_sm_issue[sm] += (
-                    kernel.block_instrs(bx, by) / self.spec.schedulers_per_sm
-                )
-                per_sm_hits[sm] += hits
-                per_sm_misses[sm] += misses
-                if recorder is not None:
-                    recorder.record_block(kernel, bid, line_shift)
+            per_block = [
+                kernel.block_line_arrays(bid, line_shift) for bid in blocks
+            ]
+            lengths = np.array(
+                [arr.size for arr, _ in per_block], dtype=np.int64
+            )
+            all_lines = np.concatenate([arr for arr, _ in per_block])
+            all_writes = np.concatenate([w for _, w in per_block])
+        hit_mask = cache.replay_arrays(all_lines, all_writes)
+        hit_cum = np.concatenate(([0], np.cumsum(hit_mask, dtype=np.int64)))
+        offset = 0
+        for i, bid in enumerate(blocks):
+            sm = i % nsms
+            end = offset + int(lengths[i])
+            hits = int(hit_cum[end] - hit_cum[offset])
+            misses = end - offset - hits
+            offset = end
+            bx, by = kernel.block_coords(bid)
+            per_sm_issue[sm] += (
+                kernel.block_instrs(bx, by) / self.spec.schedulers_per_sm
+            )
+            per_sm_hits[sm] += hits
+            per_sm_misses[sm] += misses
+            if recorder is not None:
+                recorder.record_block(kernel, bid, line_shift)
         if stats_before is not None:
             cache.stats.delta_since(stats_before).publish(
                 tracer.metrics, prefix="sim.cache", kernel=kernel.name

@@ -1,14 +1,18 @@
-"""Vectorized set-associative LRU replay engine (the "fast" backend).
+"""The simulated L2: a vectorized set-associative LRU cache.
 
-:class:`FastSetAssocCache` is a drop-in replacement for
-:class:`repro.gpusim.cache.SetAssocCache` that replays whole line
+:class:`FastSetAssocCache` models the GPU's shared L2 at line
+granularity — LRU replacement, allocate on read and write misses
+(write-allocate), no sectoring — because the scheduler in the paper
+only relies on the first-order property that a working set larger than
+the cache thrashes while a smaller one does not.  It replays whole line
 streams in batched NumPy operations instead of one Python-level
-``list.index`` loop per transaction.  It is **bit-identical** to the
-reference engine: same hits/misses/evictions/writes counters, same
-per-access hit/miss outcomes, and the same final tag + LRU state
+``list.index`` loop per transaction.
+
+The list-based engine it replaced lives on as a test oracle
+(``tests/oracles.py``).  The differential, property and golden suites
+hold this engine to it: same hits/misses/evictions/writes counters,
+same per-access hit/miss outcomes, and the same final tag + LRU state
 (:meth:`clone_state` of both engines compare equal after any replay).
-``tests/test_cache_differential.py`` enforces this on randomized and
-adversarial streams.
 
 How the vectorization works
 ---------------------------
@@ -30,74 +34,36 @@ across many sets, and degenerate (but still correct) for a single-set
 conflict storm.  State is a ``(num_sets, assoc)`` tag matrix plus a
 monotonically increasing per-way timestamp; invalid ways carry
 timestamp 0 so ``argmin`` fills empty ways before evicting the true
-LRU way, exactly like the reference engine's append-then-pop.
-
-Backend selection
------------------
-:func:`resolve_backend` implements the precedence *explicit argument*
-> ``KTILER_SIM_BACKEND`` environment variable > caller default.  The
-launch simulator defaults to the reference engine (the oracle); the
-experiment drivers in :mod:`repro.experiments` default to the fast
-engine.  ``pytest --sim-backend=fast`` (see the root ``conftest.py``)
-and ``ktiler <experiment> --sim-backend=...`` both feed this resolver.
+LRU way, exactly like the oracle's append-then-pop.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.gpusim.cache import CacheStats, SetAssocCache
-
-#: Environment variable consulted when no explicit backend is given.
-BACKEND_ENV_VAR = "KTILER_SIM_BACKEND"
+from repro.gpusim.cache import CacheStats
 
 #: Sentinel tag for an empty way (no real line id can take this value:
 #: line ids are byte addresses >> line_shift and must exceed INT64_MIN).
 _INVALID_TAG = np.iinfo(np.int64).min
 
-#: Recognized backend names.
-BACKENDS = ("reference", "fast")
-
-
-def resolve_backend(backend: Optional[str] = None, default: str = "reference") -> str:
-    """Resolve a backend name: explicit arg > env var > ``default``."""
-    name = backend or os.environ.get(BACKEND_ENV_VAR) or default
-    if name not in BACKENDS:
-        raise ConfigurationError(
-            f"unknown simulator backend '{name}' (expected one of {BACKENDS})"
-        )
-    return name
-
-
-def make_l2(spec, backend: Optional[str] = None, default: str = "reference"):
-    """Build the L2 of a :class:`repro.gpusim.arch.GpuSpec` for a backend."""
-    if resolve_backend(backend, default) == "fast":
-        return FastSetAssocCache.from_spec(spec)
-    return SetAssocCache.from_spec(spec)
-
 
 class FastSetAssocCache:
     """NumPy-vectorized set-associative LRU cache over line ids.
 
-    Implements the full :class:`SetAssocCache` API (``access``,
-    ``access_stream``, ``touch_many``, ``contains``, ``flush``,
-    ``clone_state``/``restore_state``, ...) plus the batched entry
-    point :meth:`replay_arrays`, which the launch simulator uses to
-    replay a whole launch in one call.
+    Scalar and stream entry points (``access``, ``access_stream``,
+    ``touch_many``, ``contains``, ``flush``,
+    ``clone_state``/``restore_state``, ...) sit beside the batched
+    :meth:`replay_arrays`, which the launch simulator uses to replay a
+    whole launch in one call.
 
     Line ids must fit in a signed 64-bit integer (they are byte
     addresses right-shifted by the line size, so this is never a
     constraint in practice).
     """
-
-    #: Capability flag checked by the launch simulator's batched path.
-    supports_batched_replay = True
-
-    backend_name = "fast"
 
     def __init__(
         self,
@@ -249,7 +215,7 @@ class FastSetAssocCache:
             if miss.size:
                 # Victim: the way with the smallest timestamp — an
                 # empty way (stamp 0) when one exists, else the LRU
-                # way (the reference's pop(0)).
+                # way (the oracle's pop(0)).
                 ms = s[miss]
                 victim = stamps[ms].argmin(axis=1)
                 evictions += int(
@@ -347,9 +313,9 @@ class FastSetAssocCache:
     def clone_state(self) -> List[List[int]]:
         """Per-set resident lines in LRU->MRU order.
 
-        The format (and content, after identical replays) matches
-        :meth:`SetAssocCache.clone_state`, which is what the
-        differential test suite compares.
+        The format (and content, after identical replays) matches the
+        test oracle's ``clone_state``, which is what the differential
+        test suite compares.
         """
         out: List[List[int]] = []
         tags = self._tags

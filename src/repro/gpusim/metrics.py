@@ -52,7 +52,7 @@ class KernelProfile:
         Floats are rounded so serialized fixtures compare exactly
         across runs; integers pass through untouched.  This is the
         record format of the golden-figure fixtures in
-        ``tests/golden/`` — every backend must reproduce it verbatim.
+        ``tests/golden/``, which the simulator must reproduce verbatim.
         """
         return {
             "kernel_name": self.kernel_name,

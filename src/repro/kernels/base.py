@@ -181,8 +181,7 @@ class KernelSpec(ABC):
         """Memoized ``(lines, is_write)`` arrays of a block's stream.
 
         Array twin of :meth:`block_line_stream` (same accesses, same
-        order), consumed by the fast simulator backend's batched
-        replay.  The arrays are shared between callers; treat them as
+        order), consumed by the simulator's batched L2 replay.  The arrays are shared between callers; treat them as
         read-only.
         """
         key = (bid, line_shift)

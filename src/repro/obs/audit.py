@@ -6,8 +6,8 @@ aggregate hit rates — nothing says *which* misses the tiled schedule
 eliminated or where the prediction diverges from the replayed timeline.
 This module closes that loop in three pieces:
 
-* :class:`MissAttributor` — an opt-in observer both cache backends
-  feed (``cache.attach_attribution(attr)``).  Every recorded access is
+* :class:`MissAttributor` — an opt-in observer the L2 feeds
+  (``cache.attach_attribution(attr)``).  Every recorded access is
   classified through an exact LRU stack-distance (Mattson) computation:
   **cold** (first touch since the last flush), **capacity** (reuse
   distance >= the cache's line capacity — a fully-associative cache of
@@ -17,10 +17,9 @@ This module closes that loop in three pieces:
   kernel/launch and the buffer (graph intermediate) they touch via a
   line-interval table over :mod:`repro.graph.buffers` allocations, and
   per-(kernel, buffer) reuse-distance histograms accumulate on the
-  side.  Attribution is *passive*: with no attributor attached the
-  replay paths are bit-identical to the pre-attribution engines (the
-  differential suite enforces this), and an attached attributor never
-  mutates cache state.
+  side.  Attribution is *passive*: with an attributor attached the
+  replay is bit-identical to one without (the differential suite
+  enforces this), and the attributor never mutates cache state.
 
 * :func:`audit_schedule` — replays the default and the tiled schedule
   of a :class:`~repro.core.ktiler.KTiler` with attribution on and joins
@@ -39,9 +38,9 @@ This module closes that loop in three pieces:
   smoke job.
 
 Overhead note: attribution drives a per-access Python loop (the stack
-distance is inherently sequential), so an attributed replay runs at
-reference-engine speed regardless of backend.  It is opt-in per cache
-instance and never attached on the measurement paths.
+distance is inherently sequential), so an attributed replay is far
+slower than a plain one.  It is opt-in per cache instance and never
+attached on the measurement paths.
 """
 
 from __future__ import annotations
@@ -148,7 +147,7 @@ class ReuseDistanceTracker:
 
 
 class MissAttributor:
-    """Passive per-access observer a cache backend feeds when attached.
+    """Passive per-access observer the L2 feeds when attached.
 
     Parameters
     ----------
@@ -383,7 +382,6 @@ class ScheduleAudit:
     """The joined default-vs-tiled attribution of one operating point."""
 
     freq: FrequencyConfig
-    backend: str
     default: _ReplayAudit
     tiled: _ReplayAudit
     edges: List[EdgeAudit]
@@ -454,7 +452,6 @@ class ScheduleAudit:
             "schema_version": AUDIT_SCHEMA_VERSION,
             "preset": preset,
             "freq": self.freq.label,
-            "backend": self.backend,
             "summary": {
                 "default_total_us": self.default.total_us,
                 "tiled_total_us": self.tiled.total_us,
@@ -474,7 +471,7 @@ class ScheduleAudit:
 
     def format_table(self) -> str:
         lines = [
-            f"audit @ {self.freq.label} (backend={self.backend}): "
+            f"audit @ {self.freq.label}: "
             f"default {self.default.total_us / 1e3:.2f}ms -> "
             f"tiled {self.tiled.total_us / 1e3:.2f}ms "
             f"({self.gain * 100:+.1f}%)",
@@ -515,7 +512,6 @@ def _audited_replay(
     graph,
     spec,
     freq: FrequencyConfig,
-    backend: Optional[str],
     buffers,
     launch_gap_us: float,
     tracer,
@@ -523,7 +519,7 @@ def _audited_replay(
     """Replay one schedule on a fresh simulator with attribution on."""
     from repro.gpusim.executor import GpuSimulator
 
-    sim = GpuSimulator(spec, freq=freq, backend=backend)
+    sim = GpuSimulator(spec, freq=freq)
     attr = MissAttributor(buffers, spec.line_shift, sim.l2.capacity_lines)
     sim.l2.attach_attribution(attr)
     total_us = 0.0
@@ -578,12 +574,10 @@ def audit_schedule(
 
     with tracer.span("audit.replay", cat="audit", freq=freq.label):
         default = _audited_replay(
-            ktiler.default_schedule(), graph, spec, freq, ktiler.backend,
-            buffers, gap, tracer,
+            ktiler.default_schedule(), graph, spec, freq, buffers, gap, tracer,
         )
         tiled = _audited_replay(
-            plan.schedule, graph, spec, freq, ktiler.backend,
-            buffers, gap, tracer,
+            plan.schedule, graph, spec, freq, buffers, gap, tracer,
         )
 
     dram = DramModel.from_spec(spec)
@@ -626,7 +620,7 @@ def audit_schedule(
             "entries": sorted(decisive.values(), key=lambda e: e["seq"]),
         }
     audit = ScheduleAudit(
-        freq=freq, backend=ktiler.backend, default=default, tiled=tiled,
+        freq=freq, default=default, tiled=tiled,
         edges=edges, ledger=ledger_block,
     )
     if tracer.enabled:
@@ -684,7 +678,7 @@ def validate_audit(payload: dict) -> dict:
         payload.get("schema_version") == AUDIT_SCHEMA_VERSION,
         f"schema_version != {AUDIT_SCHEMA_VERSION}",
     )
-    for key in ("preset", "freq", "backend"):
+    for key in ("preset", "freq"):
         _require(isinstance(payload.get(key), str), f"missing string '{key}'")
     summary = payload.get("summary")
     _require(isinstance(summary, dict), "missing 'summary' object")
@@ -765,7 +759,7 @@ def render_html(payload: dict) -> str:
         f"<title>ktiler explain — {esc(payload['preset'])}</title>",
         f"<style>{_HTML_STYLE}</style></head><body>",
         f"<h1>ktiler explain — preset <code>{esc(payload['preset'])}</code>"
-        f" @ {esc(payload['freq'])} ({esc(payload['backend'])} backend)</h1>",
+        f" @ {esc(payload['freq'])}</h1>",
         "<p class='summary'>"
         f"default {summary['default_total_us'] / 1e3:.2f} ms &rarr; "
         f"tiled {summary['tiled_total_us'] / 1e3:.2f} ms "

@@ -18,7 +18,7 @@ Pieces, bottom to top:
   fresh :class:`~repro.obs.tracer.Tracer` per repeat, so a regression
   can name the phase that slowed, not just the total.
 * **environment fingerprint** — :func:`environment_fingerprint`
-  attaches git sha, python, platform, cpu count, sim backend, and
+  attaches git sha, python, platform, cpu count, planner backend, and
   worker count to every run; :func:`fingerprint_noise_key` hashes the
   machine-stable subset (the git sha is deliberately excluded: it
   changes every commit without changing the machine's noise profile),
@@ -272,7 +272,7 @@ def phase_breakdown(
 #: of these (:func:`fingerprint_noise_key`) gates baseline comparisons.
 NOISE_KEY_FIELDS = (
     "python", "implementation", "platform", "machine", "cpu_count",
-    "sim_backend", "planner_backend", "workers", "numpy",
+    "planner_backend", "workers", "numpy",
 )
 
 
@@ -294,19 +294,16 @@ def _git_sha() -> str:
 
 
 def environment_fingerprint(
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     planner_backend: Optional[str] = None,
 ) -> dict:
     """Everything a sample's value may depend on, plus the git sha.
 
-    ``backend``/``workers``/``planner_backend`` resolve through the
-    same precedence the pipeline itself uses (argument > environment >
-    default), so the fingerprint records what actually ran, not what
-    was requested.
+    ``workers``/``planner_backend`` resolve through the same precedence
+    the pipeline itself uses (argument > environment > default), so the
+    fingerprint records what actually ran, not what was requested.
     """
     from repro.core.fast_cluster import resolve_planner_backend
-    from repro.gpusim.fast_cache import resolve_backend
     from repro.parallel import resolve_workers
 
     fp = {
@@ -316,7 +313,6 @@ def environment_fingerprint(
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count() or 1,
-        "sim_backend": resolve_backend(backend),
         "planner_backend": resolve_planner_backend(planner_backend),
         "workers": resolve_workers(workers),
         "numpy": np.__version__,
@@ -462,7 +458,6 @@ def _bench_pipeline_plan(sizes: dict) -> Callable[[Tracer], object]:
             app.graph,
             config=KTilerConfig(launch_overhead_us=2.0),
             tracer=tracer,
-            backend="fast",
         )
         return ktiler.plan(NOMINAL)
 
@@ -485,7 +480,6 @@ def _bench_hsopticalflow_plan(sizes: dict) -> Callable[[Tracer], object]:
             app.graph,
             config=KTilerConfig(launch_overhead_us=2.0),
             tracer=tracer,
-            backend="fast",
         )
         return ktiler.plan(NOMINAL)
 
@@ -500,11 +494,7 @@ def _bench_pipeline_compare(sizes: dict) -> Callable[[Tracer], object]:
     from repro.runtime import compare_default_vs_ktiler
 
     app = build_pipeline(size=sizes["pipeline_size"])
-    ktiler = KTiler(
-        app.graph,
-        config=KTilerConfig(launch_overhead_us=2.0),
-        backend="fast",
-    )
+    ktiler = KTiler(app.graph, config=KTilerConfig(launch_overhead_us=2.0))
     ktiler.plan(NOMINAL)  # planning cost stays out of the timed region
 
     def run(tracer: Tracer):
@@ -514,7 +504,7 @@ def _bench_pipeline_compare(sizes: dict) -> Callable[[Tracer], object]:
 
 
 def _bench_replay_raw(sizes: dict) -> Callable[[Tracer], object]:
-    """The fast engine's raw replay of a production-shaped line stream."""
+    """The L2's raw replay of a production-shaped line stream."""
     from repro.gpusim.fast_cache import FastSetAssocCache
     from repro.graph.buffers import BufferAllocator
     from repro.kernels.pointwise import ScaleKernel
@@ -550,7 +540,6 @@ def run_suite(
     scale: str = "full",
     repeats: int = 5,
     warmup: int = 1,
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     log: Optional[Callable[[str], None]] = None,
     planner_backend: Optional[str] = None,
@@ -592,7 +581,7 @@ def run_suite(
         "schema_version": BENCH_SCHEMA_VERSION,
         "kind": "bench-run",
         "created_unix": round(time.time(), 3),
-        "environment": environment_fingerprint(backend, workers, planner_backend),
+        "environment": environment_fingerprint(workers, planner_backend),
         "config": {"repeats": repeats, "warmup": warmup, "scale": scale},
         "benchmarks": [r.as_dict() for r in results],
     }

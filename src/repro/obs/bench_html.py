@@ -208,7 +208,6 @@ def render_bench_html(
         "<p class='summary'>"
         f"commit <code>{esc(str(env['git_sha'])[:12])}</code> &middot; "
         f"python {esc(env['python'])} &middot; "
-        f"{esc(env['sim_backend'])} backend &middot; "
         f"{env['workers']} worker(s) &middot; "
         f"{env['cpu_count']} cpu &middot; "
         f"scale {esc(str(config['scale']))}, "
@@ -399,7 +398,6 @@ def render_profile_html(doc: dict) -> str:
         f"app <b>{esc(doc['app'])}</b> &middot; "
         f"commit <code>{esc(str(env['git_sha'])[:12])}</code> &middot; "
         f"python {esc(env['python'])} &middot; "
-        f"{esc(env['sim_backend'])} backend &middot; "
         f"{env['workers']} worker(s) &middot; "
         f"noise key <code>{esc(env['noise_key'][:12])}</code>"
         "</p>",

@@ -109,7 +109,6 @@ def build_loadgen_doc(
     distinct: int,
     seed: int,
     warmup_requests: int,
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     planner_backend: Optional[str] = None,
     created_unix: Optional[float] = None,
@@ -182,7 +181,7 @@ def build_loadgen_doc(
         "created_unix": round(
             time.time() if created_unix is None else created_unix, 3
         ),
-        "environment": environment_fingerprint(backend, workers, planner_backend),
+        "environment": environment_fingerprint(workers, planner_backend),
         "config": {
             "repeats": len(all_latencies),
             "warmup": warmup_requests,
@@ -222,7 +221,6 @@ def run_loadgen(
     distinct: int = 1,
     seed: int = 0,
     app_params: Optional[dict] = None,
-    sim_backend: Optional[str] = None,
     planner_backend: Optional[str] = None,
     workers: Optional[int] = None,
     timeout_s: float = 600.0,
@@ -244,11 +242,7 @@ def run_loadgen(
 
     handle = None
     if url is None:
-        service = PlanService(
-            sim_backend=sim_backend,
-            planner_backend=planner_backend,
-            workers=workers,
-        )
+        service = PlanService(planner_backend=planner_backend, workers=workers)
         handle = start_server(service)
         url = handle.url
         emit(f"[loadgen] in-process daemon at {url}")
@@ -319,7 +313,6 @@ def run_loadgen(
         distinct=distinct,
         seed=seed,
         warmup_requests=distinct,
-        backend=sim_backend,
         workers=workers,
         planner_backend=planner_backend,
         per_client_outcomes=per_client_outcomes,

@@ -350,7 +350,6 @@ def profile_planner(
     spec=None,
     config=None,
     engine: Optional[str] = "stack",
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     tracer: Optional[Tracer] = None,
     spans: Sequence[str] = DEFAULT_PROFILE_SPANS,
@@ -377,7 +376,7 @@ def profile_planner(
         config = KTilerConfig(launch_overhead_us=2.0)
     ktiler = KTiler(
         app.graph, spec, config,
-        tracer=tracer, backend=backend, workers=workers,
+        tracer=tracer, workers=workers,
         planner_backend=planner_backend,
     )
     frames: List[dict] = []
@@ -476,7 +475,6 @@ def run_sweep(
     repeats: int = 3,
     warmup: int = 1,
     spec=None,
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     seed: int = 0,
     image_size: int = 32,
@@ -517,7 +515,7 @@ def run_sweep(
         def run(tracer: Tracer):
             ktiler = KTiler(
                 app.graph, spec, config,
-                tracer=tracer, backend=backend, workers=workers,
+                tracer=tracer, workers=workers,
                 planner_backend=planner_backend,
             )
             return ktiler.plan()
@@ -598,7 +596,6 @@ def build_profile_doc(
     app_label: str,
     capture: Optional[dict] = None,
     sweep: Optional[dict] = None,
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     max_frames: int = 200,
     planner_backend: Optional[str] = None,
@@ -608,7 +605,7 @@ def build_profile_doc(
         "schema_version": PROFILE_SCHEMA_VERSION,
         "kind": "planner-profile",
         "created_unix": round(time.time(), 3),
-        "environment": environment_fingerprint(backend, workers, planner_backend),
+        "environment": environment_fingerprint(workers, planner_backend),
         "app": app_label,
     }
     if capture is not None:

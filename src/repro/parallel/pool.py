@@ -18,8 +18,7 @@ make that hold:
   loop runs in-process, so the serial path pays nothing for the
   plumbing.
 
-Worker counts resolve as ``argument > $KTILER_WORKERS > 1``, mirroring
-the simulator-backend selection of :mod:`repro.gpusim.fast_cache`.
+Worker counts resolve as ``argument > $KTILER_WORKERS > 1``.
 
 Pools are persistent: one executor per worker count is kept for the
 lifetime of the process (the profiler's lazy combo measurements would

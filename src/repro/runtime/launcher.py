@@ -82,10 +82,9 @@ def tally_schedule(
     graph: KernelGraph,
     spec: Optional[GpuSpec] = None,
     tracer=NULL_TRACER,
-    backend: Optional[str] = None,
 ) -> ScheduleTallies:
     """Replay a schedule through a fresh simulator (cold L2)."""
-    sim = GpuSimulator(spec, tracer=tracer, backend=backend)
+    sim = GpuSimulator(spec, tracer=tracer)
     labels: List[str] = []
     tallies: List[LaunchTally] = []
     with tracer.span(

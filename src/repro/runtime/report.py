@@ -122,10 +122,10 @@ def _replay_task(task) -> ScheduleTallies:
 
     ``tally_schedule`` always starts from a fresh simulator with a cold
     L2, so a replay in a worker process is bit-identical to the serial
-    one.  The backend string was resolved by the parent.
+    one.
     """
-    schedule, graph, spec, backend = task
-    return tally_schedule(schedule, graph, spec, backend=backend)
+    schedule, graph, spec = task
+    return tally_schedule(schedule, graph, spec)
 
 
 def _replay_schedules(
@@ -135,7 +135,6 @@ def _replay_schedules(
     store,
     workers: int,
     tracer,
-    backend,
 ) -> List[ScheduleTallies]:
     """Replay each schedule, via the artifact store and worker pool.
 
@@ -155,7 +154,7 @@ def _replay_schedules(
     if workers > 1 and len(misses) > 1:
         tallies = parallel_map(
             _replay_task,
-            [(schedules[i], graph, spec, backend) for i in misses],
+            [(schedules[i], graph, spec) for i in misses],
             workers=workers,
             tracer=tracer,
             label="replay",
@@ -164,9 +163,7 @@ def _replay_schedules(
             results[i] = replay
     else:
         for i in misses:
-            results[i] = tally_schedule(
-                schedules[i], graph, spec, tracer=tracer, backend=backend
-            )
+            results[i] = tally_schedule(schedules[i], graph, spec, tracer=tracer)
     if store.enabled:
         for i in misses:
             store.put("replay", keys[i], schedule_tallies_to_dict(results[i]))
@@ -198,7 +195,6 @@ def compare_default_vs_ktiler(
         tracer = getattr(ktiler, "tracer", NULL_TRACER)
     graph = ktiler.graph
     spec = ktiler.spec
-    backend = getattr(ktiler, "backend", None)
     store = getattr(ktiler, "store", NULL_STORE)
     if workers is None:
         workers = getattr(ktiler, "workers", 1)
@@ -219,9 +215,7 @@ def compare_default_vs_ktiler(
         if signature not in sig_index:
             sig_index[signature] = len(jobs)
             jobs.append(plans[freq].schedule)
-    replays = _replay_schedules(
-        jobs, graph, spec, store, workers, tracer, backend
-    )
+    replays = _replay_schedules(jobs, graph, spec, store, workers, tracer)
     default_replay = replays[0]
     replay_cache: Dict[Tuple, ScheduleTallies] = {
         signature: replays[i] for signature, i in sig_index.items()

@@ -95,7 +95,6 @@ class PlanService:
         self,
         tracer: Optional[Tracer] = None,
         store=NULL_STORE,
-        sim_backend: Optional[str] = None,
         planner_backend: Optional[str] = None,
         workers: Optional[int] = None,
         timeout_s: float = DEFAULT_TIMEOUT_S,
@@ -115,7 +114,6 @@ class PlanService:
         self.timeout_s = timeout_s
         self.max_body_bytes = max_body_bytes
         self.defaults = {
-            "sim_backend": sim_backend,
             "planner_backend": planner_backend,
             "workers": workers,
         }
@@ -238,7 +236,6 @@ class PlanService:
             try:
                 request = parse_plan_request(
                     payload,
-                    default_sim_backend=self.defaults["sim_backend"],
                     default_planner_backend=self.defaults["planner_backend"],
                     default_workers=self.defaults["workers"],
                 )
@@ -386,7 +383,6 @@ class PlanService:
             spec=request.spec,
             config=request.config,
             tracer=self.tracer,
-            backend=request.sim_backend,
             workers=request.workers,
             store=self.store,
             planner_backend=request.planner_backend,
@@ -434,7 +430,6 @@ class PlanService:
             request.graph,
             request.spec,
             tracer=self.tracer,
-            backend=request.sim_backend,
         )
         blocking = measure_at(tallies, request.spec, request.freq)
         streamed = measure_with_streams(tallies, request.spec, request.freq)

@@ -18,9 +18,9 @@ HTTP API and keeps the service itself free of parsing concerns:
   the quantity the bit-identity contract is stated over.
 
 The fingerprint covers only plan-*semantic* inputs (graph, GpuSpec,
-frequency, KTilerConfig, planner backend).  Execution knobs that are
-bit-identical by contract (sim backend, worker count) are deliberately
-excluded: requests differing only in those coalesce onto one job.
+frequency, KTilerConfig, planner backend).  The worker count is
+bit-identical by contract and deliberately excluded: requests
+differing only in it coalesce onto one job.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro.core.fast_cluster import resolve_planner_backend
 from repro.core.ktiler import KTilerConfig
 from repro.gpusim.arch import ConfigurationError, GpuSpec
-from repro.gpusim.fast_cache import resolve_backend
 from repro.gpusim.freq import NOMINAL, FrequencyConfig
 from repro.graph.kernel_graph import KernelGraph
 from repro.parallel.pool import resolve_workers
@@ -333,7 +332,6 @@ _TOP_KEYS = {
     "freq",
     "config",
     "planner_backend",
-    "sim_backend",
     "workers",
     "measure",
     "ledger",
@@ -352,7 +350,6 @@ class PlanRequest:
     freq: FrequencyConfig
     config: KTilerConfig
     planner_backend: str
-    sim_backend: str
     workers: int
     measure: bool = False
     ledger: bool = False
@@ -362,7 +359,6 @@ class PlanRequest:
 
 def parse_plan_request(
     payload: Any,
-    default_sim_backend: Optional[str] = None,
     default_planner_backend: Optional[str] = None,
     default_workers: Optional[int] = None,
 ) -> PlanRequest:
@@ -389,14 +385,6 @@ def parse_plan_request(
         raise WireError("bad_value", "planner_backend must be a string")
     try:
         planner_backend = resolve_planner_backend(planner_backend)
-    except ConfigurationError as exc:
-        raise WireError("bad_value", str(exc))
-
-    sim_backend = body.get("sim_backend", default_sim_backend)
-    if sim_backend is not None and not isinstance(sim_backend, str):
-        raise WireError("bad_value", "sim_backend must be a string")
-    try:
-        sim_backend = resolve_backend(sim_backend)
     except ConfigurationError as exc:
         raise WireError("bad_value", str(exc))
 
@@ -443,7 +431,6 @@ def parse_plan_request(
         freq=freq,
         config=config,
         planner_backend=planner_backend,
-        sim_backend=sim_backend,
         workers=workers,
         measure=measure,
         ledger=ledger,

@@ -236,8 +236,8 @@ def plan_key(
 ) -> Dict:
     """Store key of one plan artifact.
 
-    Unlike the sim backend, ``planner_backend`` *is* part of the key:
-    schedules are bit-identical across planner backends by contract,
+    ``planner_backend`` is part of the key: schedules are
+    bit-identical across planner backends by contract,
     but the validity-family work counters the plan payload carries
     (``planner.merge_probes`` / ``planner.reach_repairs``) are
     planner-backend-local, so the two backends must not share warm plan

@@ -10,11 +10,7 @@ change).  Any field change — a different grid, a different L2 size, a
 different frequency — therefore produces a different key, and a stale
 entry can never be served for a perturbed configuration.
 
-Deliberately **not** part of any key: the simulator backend.  The
-``reference`` and ``fast`` L2 engines are bit-identical by contract
-(enforced by the differential suite), so both may share cache entries.
-
-The *planner* backend, by contrast, **is** part of the plan key (see
+The *planner* backend is part of the plan key (see
 :func:`repro.store.artifacts.plan_key`): both planner backends produce
 bit-identical schedules, but the plan payload also carries the
 validity-family work counters (``planner.merge_probes`` /

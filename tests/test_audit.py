@@ -6,8 +6,8 @@ Covers four levels:
   against a brute-force oracle;
 * the MissAttributor: buffer tagging, launch contexts, the miss-class
   partition invariant (cold + capacity + conflict == misses) — as
-  deterministic scenarios and as a hypothesis property on both cache
-  backends, which must also agree with each other exactly;
+  deterministic scenarios and as a hypothesis property on the simulator's
+  L2 and the test oracle, which must also agree with each other exactly;
 * attribution passivity: an attached attributor never changes a cache's
   stats or state;
 * the schedule auditor: edge joins, metrics/counter-track emission, the
@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpusim.cache import SetAssocCache
 from repro.gpusim.fast_cache import FastSetAssocCache
 from repro.graph.buffers import Buffer, BufferAllocator
 from repro.obs.audit import (
@@ -35,6 +34,7 @@ from repro.obs.audit import (
     render_html,
     validate_audit,
 )
+from tests.oracles import SetAssocCache
 
 
 # ----------------------------------------------------------------------
@@ -240,13 +240,13 @@ GEOMETRIES = [
 )
 @settings(max_examples=40, deadline=None)
 def test_partition_property_and_backend_agreement(geometry, data):
-    """cold+capacity+conflict == misses, on both backends, identically.
+    """cold+capacity+conflict == misses, on L2 and oracle, identically.
 
-    One random stream through an attributed reference cache, the same
-    stream batched through an attributed fast cache: the partition
+    One random stream through an attributed oracle cache, the same
+    stream batched through the attributed simulator L2: the partition
     invariant must hold and every attributor aggregate must agree
-    across backends bit-for-bit (attribution sits above the replay
-    engine, so backend choice must be invisible to it).
+    across the two bit-for-bit (attribution sits above the replay
+    engine, so the engine must be invisible to it).
     """
     num_sets, assoc, hash_sets = geometry
     universe = 3 * num_sets * assoc

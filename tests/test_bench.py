@@ -204,7 +204,6 @@ class TestPhaseAttribution:
             app.graph,
             config=KTilerConfig(launch_overhead_us=2.0),
             tracer=tracer,
-            backend="fast",
         ).plan(NOMINAL)
         totals = phase_breakdown(tracer.events)
         for phase in ("trace", "block_graph", "profile", "partition", "tile"):
@@ -247,11 +246,12 @@ class TestFingerprint:
         assert fingerprint_noise_key(perturbed) == base["noise_key"]
 
     def test_backend_and_workers_flow_into_the_fingerprint(self):
-        fast = environment_fingerprint(backend="fast", workers=3)
-        ref = environment_fingerprint(backend="reference", workers=1)
-        assert fast["sim_backend"] == "fast" and fast["workers"] == 3
-        assert ref["sim_backend"] == "reference" and ref["workers"] == 1
+        fast = environment_fingerprint(workers=3, planner_backend="fast")
+        ref = environment_fingerprint(workers=1, planner_backend="reference")
+        assert fast["planner_backend"] == "fast" and fast["workers"] == 3
+        assert ref["planner_backend"] == "reference" and ref["workers"] == 1
         assert fast["noise_key"] != ref["noise_key"]
+        assert "sim_backend" not in fast
 
 
 # ----------------------------------------------------------------------

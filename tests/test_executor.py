@@ -171,9 +171,11 @@ class TestUtilization:
 
 
 def _infinite_cache(spec):
-    from repro.gpusim.cache import SetAssocCache
+    from repro.gpusim.fast_cache import FastSetAssocCache
 
-    return SetAssocCache(spec.l2_num_sets * 64, spec.l2_assoc, spec.l2_line_bytes)
+    return FastSetAssocCache(
+        spec.l2_num_sets * 64, spec.l2_assoc, spec.l2_line_bytes
+    )
 
 
 class TestSimulatorLifecycle:

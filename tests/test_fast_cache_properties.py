@@ -22,8 +22,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpusim.cache import SetAssocCache
 from repro.gpusim.fast_cache import FastSetAssocCache
+from tests.oracles import SetAssocCache
 
 geometries = st.tuples(st.integers(1, 8), st.integers(1, 8), st.booleans())
 streams = st.lists(

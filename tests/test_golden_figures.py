@@ -1,13 +1,15 @@
 """Golden-file regression tests for the fig2/fig3 summary metrics.
 
 ``tests/golden/fig2_reference.json`` and ``fig3_reference.json`` were
-generated by the **reference** backend (regenerate with
-``PYTHONPATH=src python tests/test_golden_figures.py``).  Both replay
-engines must reproduce them verbatim: the golden files pin the
-experiment outputs against accidental behavioral drift, and running
-the same comparison under ``--sim-backend=fast`` (or the parametrized
-tests below) re-proves the fast engine's bit-identical contract at
-whole-experiment granularity, not just per-stream.
+generated with the list-based L2 that is now the test oracle
+(``tests/oracles.py``; their ``"backend": "reference"`` key records
+that).  Each figure runs twice: once on the simulator's own vectorized
+L2 (``fast``) and once with the oracle swapped in (``reference``, see
+:func:`tests.oracles.use_oracle_l2`).  Both must reproduce the fixtures
+verbatim: the golden files pin the experiment outputs against
+accidental behavioral drift and hold the vectorized L2 to the oracle at
+whole-experiment granularity, not just per stream.  Regenerate with
+``PYTHONPATH=src python tests/test_golden_figures.py``.
 
 Floats are rounded to 10 decimal places on both sides of the
 comparison; integers (block counts, grid sizes) must match exactly.
@@ -19,6 +21,8 @@ import json
 from pathlib import Path
 
 import pytest
+
+from tests.oracles import use_oracle_l2
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 ROUND = 10
@@ -34,10 +38,10 @@ def _round(value):
     return value
 
 
-def fig2_summary(backend: str) -> dict:
+def fig2_summary() -> dict:
     from repro.experiments.fig2 import run_fig2
 
-    result = run_fig2(backend=backend)
+    result = run_fig2()
     return _round(
         {
             "default": result.default.summary_dict(ROUND),
@@ -48,10 +52,10 @@ def fig2_summary(backend: str) -> dict:
     )
 
 
-def fig3_summary(backend: str) -> dict:
+def fig3_summary() -> dict:
     from repro.experiments.fig3 import run_fig3
 
-    result = run_fig3(backend=backend)
+    result = run_fig3()
     return _round(
         {
             "grid_sizes": list(result.grid_sizes),
@@ -83,12 +87,14 @@ def load_golden(name: str) -> dict:
 
 @pytest.mark.parametrize("figure", sorted(SUMMARIES))
 @pytest.mark.parametrize("backend", ["reference", "fast"])
-def test_backend_reproduces_golden(figure, backend):
+def test_backend_reproduces_golden(figure, backend, monkeypatch):
     golden = load_golden(figure)
     assert golden["backend"] == "reference"
-    produced = SUMMARIES[figure](backend)
+    if backend == "reference":
+        use_oracle_l2(monkeypatch)
+    produced = SUMMARIES[figure]()
     assert produced == golden["summary"], (
-        f"{figure} under backend={backend} diverged from the golden "
+        f"{figure} with the {backend} L2 diverged from the golden "
         "reference fixture"
     )
 
@@ -97,7 +103,7 @@ def regenerate() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, build in sorted(SUMMARIES.items()):
         path = GOLDEN_DIR / f"{name}_reference.json"
-        payload = {"backend": "reference", "summary": build("reference")}
+        payload = {"backend": "reference", "summary": build()}
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"wrote {path}")
 

@@ -6,9 +6,12 @@ schedule KTILER produces for the scaled HSOpticalFlow configuration
 nominal operating point: every sub-kernel's node, label, and
 run-length-encoded block list in launch order, plus the adopted
 partition and the scheduler telemetry.  It was generated by the
-**reference** backends (regenerate with ``PYTHONPATH=src python
-tests/test_golden_schedule.py``) and every sim backend, planner
-backend, and worker count must reproduce the shared summary verbatim.
+**reference** planner with the list-based L2 that is now the test
+oracle (regenerate with ``PYTHONPATH=src python
+tests/test_golden_schedule.py``).  Every planner backend and worker
+count must reproduce the shared summary verbatim, both on the
+simulator's own vectorized L2 (``fast``) and with the oracle swapped in
+(``reference``, see :func:`tests.oracles.use_oracle_l2`).
 
 The *validity-family* work counters (``merge_probes`` /
 ``reach_repairs``; see :data:`repro.core.work.VALIDITY_COUNTERS`)
@@ -39,6 +42,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.work import VALIDITY_COUNTERS
+from tests.oracles import use_oracle_l2
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_PATH = GOLDEN_DIR / "schedule_hsopticalflow_reference.json"
@@ -48,7 +52,7 @@ GOLDEN_PATH = GOLDEN_DIR / "schedule_hsopticalflow_reference.json"
 COST_ROUND = 6
 
 
-def build_plan(backend: str, workers: int = 1, planner_backend: str = "reference"):
+def build_plan(workers: int = 1, planner_backend: str = "reference"):
     from repro.apps.hsopticalflow import build_hsopticalflow
     from repro.core.ktiler import KTiler, KTilerConfig
     from repro.experiments.presets import (
@@ -68,7 +72,6 @@ def build_plan(backend: str, workers: int = 1, planner_backend: str = "reference
         app.graph,
         spec=SCALED_SPEC,
         config=KTilerConfig(launch_overhead_us=SCALED_SPEC.launch_gap_us),
-        backend=backend,
         workers=workers,
         planner_backend=planner_backend,
     )
@@ -104,13 +107,15 @@ def load_golden() -> dict:
 
 @pytest.mark.parametrize("planner_backend", ["reference", "fast"])
 @pytest.mark.parametrize("backend", ["reference", "fast"])
-def test_backends_reproduce_golden_schedule(backend, planner_backend):
+def test_backends_reproduce_golden_schedule(backend, planner_backend, monkeypatch):
     golden = load_golden()
     assert golden["backend"] == "reference"
-    graph, plan = build_plan(backend, planner_backend=planner_backend)
+    if backend == "reference":
+        use_oracle_l2(monkeypatch)
+    graph, plan = build_plan(planner_backend=planner_backend)
     summary, validity = plan_summary(graph, plan)
     assert summary == golden["summary"], (
-        f"the scaled HSOpticalFlow schedule under backend={backend} "
+        f"the scaled HSOpticalFlow schedule with the {backend} L2 and "
         f"planner_backend={planner_backend} diverged from the golden "
         "fixture; if the change is intentional, regenerate it and "
         "review the diff"
@@ -121,7 +126,7 @@ def test_backends_reproduce_golden_schedule(backend, planner_backend):
 def test_parallel_scheduler_reproduces_golden_schedule():
     """workers=4 must land on the very same pinned schedule."""
     golden = load_golden()
-    graph, plan = build_plan("fast", workers=4, planner_backend="fast")
+    graph, plan = build_plan(workers=4, planner_backend="fast")
     summary, validity = plan_summary(graph, plan)
     assert summary == golden["summary"]
     assert validity == golden["validity"]["fast"]
@@ -132,7 +137,7 @@ def test_golden_schedule_roundtrips_through_serializer():
     from repro.core.serialize import schedule_from_dict, schedule_to_dict
 
     golden = load_golden()
-    graph, _ = build_plan("fast", planner_backend="fast")
+    graph, _ = build_plan(planner_backend="fast")
     schedule = schedule_from_dict(golden["summary"]["schedule"], graph)
     assert schedule_to_dict(schedule, graph) == golden["summary"]["schedule"]
 
@@ -152,7 +157,7 @@ def test_wire_format_reproduces_golden_schedule_verbatim():
     from repro.store.fingerprint import content_key
 
     golden = load_golden()
-    graph, plan = build_plan("fast", planner_backend="fast")
+    graph, plan = build_plan(planner_backend="fast")
     wire = json.loads(json.dumps(golden["summary"]["schedule"]))
     assert wire == golden["summary"]["schedule"]
     schedule = schedule_from_dict(wire, graph)
@@ -165,9 +170,9 @@ def test_wire_format_reproduces_golden_schedule_verbatim():
 
 def regenerate() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
-    graph, plan = build_plan("reference", planner_backend="reference")
+    graph, plan = build_plan(planner_backend="reference")
     summary, ref_validity = plan_summary(graph, plan)
-    graph_fast, plan_fast = build_plan("reference", planner_backend="fast")
+    graph_fast, plan_fast = build_plan(planner_backend="fast")
     summary_fast, fast_validity = plan_summary(graph_fast, plan_fast)
     if summary != summary_fast:
         raise SystemExit(

@@ -16,7 +16,6 @@ from repro.apps import build_pipeline
 from repro.apps.synthetic import build_jacobi_pingpong
 from repro.core import KTiler, KTilerConfig
 from repro.gpusim import GpuSimulator, GpuSpec, NOMINAL
-from repro.gpusim.cache import SetAssocCache
 from repro.gpusim.timeline import Timeline
 from repro.obs import (
     NULL_TRACER,
@@ -297,7 +296,7 @@ class TestChromeTrace:
         assert json.loads(path.read_text())["traceEvents"] == []
 
     def test_numpy_meta_round_trips(self, tmp_path):
-        # Regression: fast-backend launch metadata carries numpy
+        # Regression: batched-replay launch metadata carries numpy
         # scalars (np.float64 hit rates, np.int64 counts, np.bool_
         # flags), which ``json.dump`` rejects without sanitizing.
         import numpy as np
@@ -319,13 +318,12 @@ class TestChromeTrace:
         assert launch["dur"] == 2.5
         assert launch["args"] == {"l2_hit_rate": 0.5, "hits": 7, "warmed": True}
 
-    def test_fast_backend_run_exports(self, tmp_path):
+    def test_batched_replay_run_exports(self, tmp_path):
         tracer = Tracer()
         app = build_pipeline(size=128)
         ktiler = KTiler(
             app.graph,
             config=KTilerConfig(launch_overhead_us=2.0),
-            backend="fast",
             tracer=tracer,
         )
         compare_default_vs_ktiler(ktiler, [NOMINAL])

@@ -302,7 +302,6 @@ class TestRequestTelemetryEndToEnd:
         request = parse_plan_request(DEMO)
         plan = KTiler(
             request.graph, spec=request.spec, config=request.config,
-            backend=request.sim_backend,
             planner_backend=request.planner_backend,
         ).plan(request.freq)
         assert response["plan_digest"] == plan_digest(

@@ -4,10 +4,9 @@ The repository's hard invariant for :mod:`repro.parallel` is that the
 worker count is a pure wall-clock knob: for ANY application graph and
 ANY worker count, the schedules, perf tables, and comparison reports
 are bit-identical to the serial run.  This suite enforces it with the
-same differential-oracle pattern PR 2 established for the cache
-engines — run the serial pipeline as the oracle, then rerun under
-``workers ∈ {2, 4}`` on both simulator backends and require exact
-(not approximate) equality of every artifact:
+same differential-oracle pattern the cache suite uses — run the serial
+pipeline as the oracle, then rerun under ``workers ∈ {2, 4}`` and
+require exact (not approximate) equality of every artifact:
 
 * the tiled schedule, compared through ``core.serialize`` (sub-kernel
   node ids + block tuples, i.e. the complete launch order);
@@ -46,12 +45,11 @@ from repro.runtime import compare_default_vs_ktiler
 #: scale; 1 us gap so the launch-overhead term is exercised too.
 SMALL_SPEC = GpuSpec(l2_bytes=64 * 1024, launch_gap_us=1.0)
 
-BACKENDS = ("reference", "fast")
 WORKER_COUNTS = (2, 4)
 FREQS = (FIG5_CONFIGS[0], NOMINAL)
 
-#: Application family × size knob.  Kept small: every (app, backend)
-#: pair runs the full pipeline 1 + len(WORKER_COUNTS) times.
+#: Application family × size knob.  Kept small: every app runs the
+#: full pipeline 1 + len(WORKER_COUNTS) times.
 APPS = {
     "jacobi": lambda n: build_jacobi_pingpong(iters=2 + n, size=64).graph,
     "diamond": lambda n: build_diamond(size=48 + 16 * n).graph,
@@ -60,13 +58,12 @@ APPS = {
 }
 
 
-def pipeline_outputs(graph, backend: str, workers: int) -> dict:
+def pipeline_outputs(graph, workers: int) -> dict:
     """Every artifact the determinism contract covers, for one run."""
     ktiler = KTiler(
         graph,
         spec=SMALL_SPEC,
         config=KTilerConfig(launch_overhead_us=SMALL_SPEC.launch_gap_us),
-        backend=backend,
         workers=workers,
     )
     plan = ktiler.plan(NOMINAL)
@@ -101,26 +98,25 @@ def _graph_for(app: str, n: int):
     return _graphs[key]
 
 
-def _oracle_for(app: str, n: int, backend: str) -> dict:
-    key = (app, n, backend)
+def _oracle_for(app: str, n: int) -> dict:
+    key = (app, n)
     if key not in _oracles:
-        _oracles[key] = pipeline_outputs(_graph_for(app, n), backend, workers=1)
+        _oracles[key] = pipeline_outputs(_graph_for(app, n), workers=1)
     return _oracles[key]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @given(app=st.sampled_from(sorted(APPS)), n=st.integers(0, 2))
 @settings(max_examples=4, deadline=None)
-def test_pipeline_bit_identical_across_worker_counts(backend, app, n):
+def test_pipeline_bit_identical_across_worker_counts(app, n):
     """workers ∈ {2, 4} reproduce the serial oracle exactly."""
-    oracle = _oracle_for(app, n, backend)
+    oracle = _oracle_for(app, n)
     for workers in WORKER_COUNTS:
-        produced = pipeline_outputs(_graph_for(app, n), backend, workers)
+        produced = pipeline_outputs(_graph_for(app, n), workers)
         for artifact in oracle:
             if artifact == "profiles":
                 continue
             assert produced[artifact] == oracle[artifact], (
-                f"{app}(n={n}) backend={backend} workers={workers}: "
+                f"{app}(n={n}) workers={workers}: "
                 f"{artifact} diverged from the serial oracle"
             )
         # Perf tables: speculative tilings run (and lazily profile)
@@ -133,17 +129,9 @@ def test_pipeline_bit_identical_across_worker_counts(backend, app, n):
         )
         for key, tally in produced["profiles"].items():
             assert tally == oracle["profiles"][key], (
-                f"{app}(n={n}) backend={backend} workers={workers}: "
+                f"{app}(n={n}) workers={workers}: "
                 f"profile entry {key} diverged from the serial oracle"
             )
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_backends_share_one_oracle(backend):
-    """Both engines' serial pipelines agree (bit-identity contract)."""
-    reference = _oracle_for("jacobi", 1, "reference")
-    produced = _oracle_for("jacobi", 1, backend)
-    assert produced == reference
 
 
 def test_fig3_bit_identical_across_worker_counts():

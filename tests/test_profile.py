@@ -60,11 +60,8 @@ SMALL_SPEC = GpuSpec(l2_bytes=64 * 1024, launch_gap_us=1.0)
 CONFIG = KTilerConfig(launch_overhead_us=2.0)
 
 
-def _plan_work(app, backend=None, workers=None, store=None) -> dict:
-    ktiler = KTiler(
-        app.graph, SMALL_SPEC, CONFIG,
-        backend=backend, workers=workers, store=store,
-    )
+def _plan_work(app, workers=None, store=None) -> dict:
+    ktiler = KTiler(app.graph, SMALL_SPEC, CONFIG, workers=workers, store=store)
     return ktiler.plan().stats.work.as_dict()
 
 
@@ -108,12 +105,11 @@ class TestPlannerWork:
         shape=st.sampled_from(PROBE_SHAPES),
         kernels=st.integers(min_value=4, max_value=12),
     )
-    def test_work_invariant_across_backends_and_workers(self, shape, kernels):
-        """The contract: bit-identical work for any backend or worker count."""
+    def test_work_invariant_across_workers(self, shape, kernels):
+        """The contract: bit-identical work for any worker count."""
         app = build_probe_graph(shape, kernels=kernels)
-        oracle = _plan_work(app, backend="reference", workers=1)
-        assert _plan_work(app, backend="fast", workers=1) == oracle
-        assert _plan_work(app, backend="reference", workers=2) == oracle
+        oracle = _plan_work(app, workers=1)
+        assert _plan_work(app, workers=2) == oracle
 
     def test_work_survives_the_artifact_store(self, tmp_path):
         app = build_probe_graph("grid", kernels=9)

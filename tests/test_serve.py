@@ -56,7 +56,6 @@ class TestPlanEndpoint:
             request.graph,
             spec=request.spec,
             config=request.config,
-            backend=request.sim_backend,
             planner_backend=request.planner_backend,
         )
         plan = ktiler.plan(request.freq)
@@ -100,11 +99,12 @@ class TestPlanEndpoint:
         # loses to blocking submission.
         assert streamed["busy_us"] <= streamed["total_us"] <= blocking["total_us"]
 
-    def test_sim_backend_does_not_change_fingerprint_or_digest(self, client):
-        reference = client.plan({**DEMO, "sim_backend": "reference"})
-        fast = client.plan({**DEMO, "sim_backend": "fast"})
-        assert reference["fingerprint"] == fast["fingerprint"]
-        assert reference["plan_digest"] == fast["plan_digest"]
+    def test_sim_backend_field_is_an_unknown_field_400(self, client):
+        with pytest.raises(ServeClientError) as err:
+            client.plan({**DEMO, "sim_backend": "fast"})
+        assert err.value.status == 400
+        assert err.value.code == "bad_request"
+        assert "sim_backend" in str(err.value)
 
     def test_distinct_frequencies_get_distinct_fingerprints(self, client):
         nominal = client.plan(DEMO)

@@ -150,24 +150,22 @@ class TestDigestProperty:
         shape=st.sampled_from(["chain", "fan"]),
         kernels=st.integers(min_value=3, max_value=5),
         gpu_mhz=st.sampled_from([1324.0, 666.0]),
-        sim_backend=st.sampled_from(["reference", "fast"]),
     )
     def test_digest_depends_only_on_fingerprint(
-        self, module_daemon, shape, kernels, gpu_mhz, sim_backend
+        self, module_daemon, shape, kernels, gpu_mhz
     ):
         client = ServeClient(module_daemon.url)
         response = client.plan(
             {
                 "app": {"preset": shape, "kernels": kernels, "size": 8},
                 "freq": {"gpu_mhz": gpu_mhz, "mem_mhz": 5010.0},
-                "sim_backend": sim_backend,
             }
         )
-        semantics = (shape, kernels, gpu_mhz)  # sim_backend excluded
+        semantics = (shape, kernels, gpu_mhz)
         seen_fp = self._fingerprints.setdefault(
             semantics, response["fingerprint"]
         )
-        # Same semantic request ⇒ same fingerprint, whatever the backend.
+        # Same semantic request ⇒ same fingerprint.
         assert response["fingerprint"] == seen_fp
         seen_digest = self._digests.setdefault(
             response["fingerprint"], response["plan_digest"]
