@@ -1,9 +1,18 @@
 """Minimal stdlib client of the tiling service.
 
 Used by ``ktiler client``, the load generator, and the black-box test
-suite — all of which deliberately go through real HTTP (urllib over a
-socket) rather than calling :class:`~repro.serve.service.PlanService`
-directly, so the wire format itself is what gets exercised.
+suite — all of which deliberately go through real HTTP rather than
+calling :class:`~repro.serve.service.PlanService` directly, so the wire
+format itself is what gets exercised.
+
+Connections are kept alive: each thread that uses a client gets its
+own ``http.client.HTTPConnection`` and reuses it for every request, so
+one client can be shared by many threads; :meth:`ServeClient.close`
+closes them all.  When the daemon has closed an idle connection (its
+idle timeout, or a ``Connection: close`` response) the next request
+reconnects; a request that finds a reused connection dead is retried
+once on a fresh one.  Plan and explain are pure functions of the
+request, so the retry is safe.
 
 Request ids: pass ``request_id=`` per call (or a default at
 construction) and the client sends it as ``X-Request-Id``; the daemon
@@ -14,10 +23,12 @@ came back — including ids the daemon minted when none was supplied.
 
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.error
-import urllib.request
-from typing import Any, Dict, Optional
+import threading
+import urllib.parse
+import weakref
+from typing import Any, Dict, Optional, Tuple
 
 #: Kept in sync with :data:`repro.serve.wire.REQUEST_ID_HEADER`; the
 #: literal is repeated here so the client stays stdlib-light (wire.py
@@ -39,7 +50,7 @@ class ServeClientError(Exception):
 
 
 class ServeClient:
-    """Blocking JSON client for one daemon URL."""
+    """Blocking JSON client for one daemon URL, one connection per thread."""
 
     def __init__(
         self,
@@ -48,9 +59,70 @@ class ServeClient:
         request_id: Optional[str] = None,
     ):
         self.url = url.rstrip("/")
+        parts = urllib.parse.urlsplit(self.url)
+        self._host = parts.hostname
+        self._port = parts.port
+        self._path_prefix = parts.path
         self.timeout_s = timeout_s
         self.request_id = request_id
         self.last_request_id: Optional[str] = None
+        self._local = threading.local()
+        # Every thread's connection, for close(); a connection leaves
+        # the set when its thread ends.
+        self._lock = threading.Lock()
+        self._connections: "weakref.WeakSet[http.client.HTTPConnection]" = (
+            weakref.WeakSet()
+        )
+
+    def _connection(self) -> Tuple[http.client.HTTPConnection, bool]:
+        """This thread's connection, and whether it has an open socket
+        from an earlier request."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = http.client.HTTPConnection(
+                self._host, self._port, timeout=self.timeout_s
+            )
+            self._local.conn = conn
+            with self._lock:
+                self._connections.add(conn)
+        return conn, conn.sock is not None
+
+    def close(self) -> None:
+        """Close every thread's connection; a later request reconnects."""
+        with self._lock:
+            connections = list(self._connections)
+        for conn in connections:
+            conn.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _exchange(
+        self, method: str, path: str, body: Optional[bytes], headers: Dict[str, str]
+    ) -> Tuple[int, Any, bytes]:
+        """One request/response on this thread's connection:
+        ``(status, headers, body)``."""
+        conn, reused = self._connection()
+        try:
+            try:
+                conn.request(method, path, body=body, headers=headers)
+                response = conn.getresponse()
+            except ConnectionError:
+                # The daemon closed a connection we kept; only a reused
+                # one earns the retry, a fresh one failing is real.
+                if not reused:
+                    raise
+                conn.close()
+                conn.request(method, path, body=body, headers=headers)
+                response = conn.getresponse()
+            return response.status, response.headers, response.read()
+        except BaseException:
+            # Never leave a half-used connection for the next request.
+            conn.close()
+            raise
 
     def _request(
         self,
@@ -67,24 +139,20 @@ class ServeClient:
         if payload is not None:
             data = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.url + path, data=data, headers=headers, method=method
+        status, response_headers, raw = self._exchange(
+            method, self._path_prefix + path, data, headers
         )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout_s) as resp:
-                body = resp.read().decode("utf-8")
-                content_type = resp.headers.get("Content-Type", "")
-                self.last_request_id = resp.headers.get(REQUEST_ID_HEADER)
-        except urllib.error.HTTPError as exc:
-            raw = exc.read().decode("utf-8", errors="replace")
-            echoed = exc.headers.get(REQUEST_ID_HEADER)
-            self.last_request_id = echoed
+        echoed = response_headers.get(REQUEST_ID_HEADER)
+        self.last_request_id = echoed
+        if not 200 <= status < 300:
+            text = raw.decode("utf-8", errors="replace")
             try:
-                parsed = json.loads(raw)
+                parsed = json.loads(text)
             except ValueError:
-                parsed = {"error": {"code": "non_json", "message": raw}}
-            raise ServeClientError(exc.code, parsed, request_id=echoed) from None
-        if content_type.startswith("application/json"):
+                parsed = {"error": {"code": "non_json", "message": text}}
+            raise ServeClientError(status, parsed, request_id=echoed)
+        body = raw.decode("utf-8")
+        if response_headers.get("Content-Type", "").startswith("application/json"):
             return json.loads(body)
         return body
 

@@ -8,7 +8,14 @@ when over the service's body cap — checked *before* reading), JSON
 decoding (400 with a structured body), and error mapping
 (:class:`~repro.serve.wire.WireError` → its status; anything else →
 500 ``internal`` with the traceback on the daemon's stderr, never in
-the response).
+the response).  Plan and explain bodies arrive from the service already
+encoded and are written as given.
+
+Connections are HTTP/1.1 keep-alive.  ``TCP_NODELAY`` is set on each
+one: the headers and the body are two writes, and with Nagle's
+algorithm the second waits for the client's delayed ACK (~40 ms).  A
+connection idle for :attr:`_Handler.timeout` seconds is closed, so an
+abandoned client does not hold a handler thread.
 
 Two entry points:
 
@@ -48,6 +55,9 @@ class _ServeHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server_version = "ktiler-serve/1"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    #: Seconds a kept-alive connection may sit idle before it is closed.
+    timeout = 60.0
     _request_id: str = ""
 
     @property
@@ -174,7 +184,8 @@ class _Handler(BaseHTTPRequestHandler):
             return
         endpoint = self.service.plan if self.path == "/v1/plan" else self.service.explain
         try:
-            self._send_json(200, endpoint(payload, request_id=self._request_id))
+            body = endpoint(payload, request_id=self._request_id)
+            self._send_body(200, body, "application/json")
         except WireError as exc:
             self._send_json(exc.status, exc.body())
         except BrokenPipeError:

@@ -1,9 +1,13 @@
 """The tiling service: fingerprint → plan, deduplicated three ways.
 
 :class:`PlanService` sits between the HTTP layer (``server.py``) and
-the KTILER pipeline and layers three caches, cheapest first:
+the KTILER pipeline.  A request is first mapped to its fingerprint
+through the **front memo** (canonical request echo → fingerprint), so
+a repeat never rebuilds or rehashes the kernel graph.  Three caches
+then answer it, cheapest first:
 
-1. **memo** — completed responses by fingerprint, in-process;
+1. **memo** — completed results by fingerprint, in-process, held as
+   encoded JSON bytes;
 2. **single-flight** — concurrent requests for the same fingerprint
    coalesce onto one in-flight planning job (one ``Future``) instead
    of planning N times;
@@ -15,8 +19,11 @@ the KTILER pipeline and layers three caches, cheapest first:
 All of this is safe precisely because plans are bit-identical by
 contract: any two requests with equal fingerprints would compute
 byte-equal schedules, so sharing one result is indistinguishable from
-planning twice.  The black-box suite (``tests/test_serve.py``) holds
-the daemon to that.
+planning twice.  The memo therefore holds only what the fingerprint
+determines; the per-request fields (``request``, ``served``,
+``elapsed_ms``, ``request_id``) are spliced onto those bytes for each
+response.  The black-box suite (``tests/test_serve.py``) holds the
+daemon to that.
 
 Per-request work is traced (``serve.request`` / ``serve.plan`` spans)
 and counted (``serve.*`` families, exported at ``GET /metrics``).  A
@@ -37,6 +44,7 @@ and their work counters stay bit-identical with telemetry on or off.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 import threading
@@ -66,9 +74,11 @@ from repro.serve.wire import (
     plan_digest,
     plan_fingerprint,
 )
+from repro.store.fingerprint import canonical_json
 from repro.store.store import NULL_STORE
 
-#: Memoized responses kept per daemon (LRU beyond this).
+#: Memoized results (and memoized fingerprints) kept per daemon (LRU
+#: beyond this).
 DEFAULT_MEMO_ENTRIES = 1024
 
 #: Ceiling on any single request's planning wait, seconds.
@@ -86,6 +96,36 @@ _OUTCOME_BY_SERVED = {
     "memo": "memo_hit",
     "coalesced": "coalesced",
 }
+
+
+class _Lru:
+    """A bounded least-recently-used map; callers hold the service lock."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._entries: "OrderedDict[str, Any]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: str) -> Any:
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+        return value
+
+    def put(self, key: str, value: Any) -> None:
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+
+
+def _splice(encoded: bytes, fields: Dict[str, Any]) -> bytes:
+    """The JSON object ``encoded`` with ``fields`` appended as its last
+    keys: exactly ``json.dumps`` of the merged dict."""
+    tail = json.dumps(fields).encode("utf-8")
+    return b"".join((encoded[:-1], b", ", tail[1:]))
 
 
 class PlanService:
@@ -118,8 +158,10 @@ class PlanService:
             "workers": workers,
         }
         self._lock = threading.Lock()
-        self._memo: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        self._max_memo_entries = max_memo_entries
+        # Encoded results by memo key, and fingerprints by canonical
+        # request echo; both LRU.
+        self._memo = _Lru(max_memo_entries)
+        self._fingerprints = _Lru(max_memo_entries)
         self._inflight: Dict[str, Any] = {}
         self._pool = ThreadPoolExecutor(
             max_workers=planner_threads, thread_name_prefix="ktiler-plan"
@@ -138,6 +180,20 @@ class PlanService:
     def _observe_latency(self, endpoint: str, elapsed_s: float) -> None:
         self._count("latency_ms", elapsed_s * 1000.0, endpoint=endpoint)
 
+    # -- front memo --------------------------------------------------
+
+    def _fingerprint(self, request: PlanRequest) -> str:
+        """The request's fingerprint, from the front memo when an equal
+        echo was seen before (no graph build, no hashing)."""
+        echo_key = canonical_json(request.echo)
+        with self._lock:
+            fingerprint = self._fingerprints.get(echo_key)
+        if fingerprint is None:
+            fingerprint = plan_fingerprint(request, self.store.key_for)
+            with self._lock:
+                self._fingerprints.put(echo_key, fingerprint)
+        return fingerprint
+
     # -- single flight -----------------------------------------------
 
     def _single_flight(
@@ -146,8 +202,8 @@ class PlanService:
         job: Callable[[], Dict[str, Any]],
         timeout_s: float,
         ctx: Optional[RequestContext] = None,
-    ) -> Tuple[Dict[str, Any], str]:
-        """Return (result, served) where served ∈ planned/memo/coalesced.
+    ) -> Tuple[bytes, str]:
+        """Return (encoded result, served), served ∈ planned/memo/coalesced.
 
         The leader thread for a key runs ``job`` on the planner pool;
         every other thread arriving before it completes waits on the
@@ -159,7 +215,6 @@ class PlanService:
         with self._lock:
             cached = self._memo.get(key)
             if cached is not None:
-                self._memo.move_to_end(key)
                 self.tracer.metrics.inc("serve.memo_hits")
                 return cached, "memo"
             future = self._inflight.get(key)
@@ -189,7 +244,7 @@ class PlanService:
         job: Callable[[], Dict[str, Any]],
         submitted_at: Optional[float] = None,
         ctx: Optional[RequestContext] = None,
-    ) -> Dict[str, Any]:
+    ) -> bytes:
         with use_context(ctx):
             if submitted_at is not None:
                 wait_s = max(0.0, self._monotonic() - submitted_at)
@@ -198,11 +253,9 @@ class PlanService:
                 with self._lock:
                     self.tracer.metrics.observe("serve.queue_wait", wait_s)
             try:
-                result = job()
+                result = json.dumps(job()).encode("utf-8")
                 with self._lock:
-                    self._memo[key] = result
-                    while len(self._memo) > self._max_memo_entries:
-                        self._memo.popitem(last=False)
+                    self._memo.put(key, result)
                 return result
             finally:
                 # Memo (on success) is published before the in-flight
@@ -213,21 +266,19 @@ class PlanService:
 
     # -- endpoints ---------------------------------------------------
 
-    def plan(
-        self, payload: Any, request_id: Optional[str] = None
-    ) -> Dict[str, Any]:
-        """Serve ``POST /v1/plan``: a tiled schedule for the request."""
+    def plan(self, payload: Any, request_id: Optional[str] = None) -> bytes:
+        """Serve ``POST /v1/plan``: a tiled schedule for the request, as
+        the encoded JSON response body."""
         return self._serve("plan", payload, request_id)
 
-    def explain(
-        self, payload: Any, request_id: Optional[str] = None
-    ) -> Dict[str, Any]:
-        """Serve ``POST /v1/explain``: the audit report for the request."""
+    def explain(self, payload: Any, request_id: Optional[str] = None) -> bytes:
+        """Serve ``POST /v1/explain``: the audit report for the request,
+        as the encoded JSON response body."""
         return self._serve("explain", payload, request_id)
 
     def _serve(
         self, endpoint: str, payload: Any, request_id: Optional[str] = None
-    ) -> Dict[str, Any]:
+    ) -> bytes:
         t0 = self._monotonic()
         ctx = RequestContext(request_id or new_request_id(), endpoint)
         fingerprint: Optional[str] = None
@@ -240,17 +291,21 @@ class PlanService:
                     default_workers=self.defaults["workers"],
                 )
                 preset = request.preset
-                fingerprint = plan_fingerprint(request, self.store.key_for)
+                fingerprint = self._fingerprint(request)
                 timeout_s = self.timeout_s
                 if request.timeout_s is not None:
                     timeout_s = min(request.timeout_s, self.timeout_s)
-                # The measure flag changes the response payload (not the
-                # plan), so measured and unmeasured variants memoize apart.
+                # The measure and ledger flags change the response payload
+                # (not the plan), so those variants memoize apart; so does
+                # the preset name an audit carries (two presets can build
+                # one graph).
                 key = f"{endpoint}:{fingerprint}"
                 if endpoint == "plan" and request.measure:
                     key += ":measured"
                 if endpoint == "plan" and request.ledger:
                     key += ":ledger"
+                if endpoint == "explain":
+                    key += f":{request.preset}"
                 if endpoint == "plan":
                     job = lambda: self._plan_job(request, fingerprint)
                 else:
@@ -307,11 +362,15 @@ class PlanService:
                 preset=preset,
                 served=served,
             )
-        response = dict(result)
-        response["served"] = served
-        response["elapsed_ms"] = elapsed_ms
-        response["request_id"] = ctx.request_id
-        return response
+        return _splice(
+            result,
+            {
+                "request": request.echo,
+                "served": served,
+                "elapsed_ms": elapsed_ms,
+                "request_id": ctx.request_id,
+            },
+        )
 
     def _finish_request(
         self,
@@ -405,7 +464,6 @@ class PlanService:
                 "schedule": schedule_to_dict(plan.schedule, request.graph),
                 "estimated_cost_us": plan.estimated_cost_us,
                 "stats": asdict(plan.stats),
-                "request": request.echo,
             }
             if request.measure:
                 result["timing"] = self._timing(request, plan)
@@ -460,7 +518,6 @@ class PlanService:
                 "kind": "explain",
                 "fingerprint": fingerprint,
                 "audit": audit.to_json_dict(preset=request.preset),
-                "request": request.echo,
             }
         self._count("plans")
         return result

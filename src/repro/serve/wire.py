@@ -14,6 +14,8 @@ HTTP API and keeps the service itself free of parsing concerns:
   (:func:`repro.store.plan_key` hashed with the store's content key),
   so a daemon's dedup map, its artifact store, and offline CLI runs
   all share one notion of identity;
+* the request *echo* — the canonical, fully-resolved form of every
+  fingerprint input, which the service memoizes fingerprints by;
 * plan *digests* — the content key of the schedule's serialized form,
   the quantity the bit-identity contract is stated over.
 
@@ -25,6 +27,7 @@ differing only in it coalesce onto one job.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -163,6 +166,10 @@ SERVE_PRESETS: Dict[str, Dict[str, Tuple[int, int, int]]] = {
 #: GpuSpec preset names accepted as ``gpu.base``.
 GPU_BASES: Tuple[str, ...] = ("scaled", "paper", "embedded", "desktop")
 
+#: GpuSpec fields a request may override.
+_GPU_FIELDS = frozenset(f.name for f in fields(GpuSpec)) - {"extras"}
+
+
 def _resolve_gpu_base(name: str) -> GpuSpec:
     from repro.experiments.presets import PAPER_SPEC, SCALED_SPEC
     from repro.gpusim.arch import DESKTOP_GPU, EMBEDDED_GPU
@@ -181,6 +188,17 @@ def _require_mapping(value: Any, name: str) -> Dict[str, Any]:
     return value
 
 
+def _is_number(value: Any) -> bool:
+    """A JSON number with a finite float value (``json.loads`` also
+    yields NaN, Infinity, and integers no float can hold)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _int_in(params: Dict[str, Any], key: str, default: int, lo: int, hi: int) -> int:
     value = params.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
@@ -192,10 +210,10 @@ def _int_in(params: Dict[str, Any], key: str, default: int, lo: int, hi: int) ->
     return value
 
 
-def _parse_app(payload: Dict[str, Any]) -> Tuple[str, Dict[str, int], KernelGraph]:
+def _parse_app(payload: Dict[str, Any]) -> Tuple[str, Dict[str, int]]:
     app = _require_mapping(payload.get("app", {"preset": "demo"}), "app")
     preset = app.get("preset", "demo")
-    if preset not in SERVE_PRESETS:
+    if not isinstance(preset, str) or preset not in SERVE_PRESETS:
         raise WireError(
             "unknown_preset",
             f"unknown app.preset {preset!r}; known: {', '.join(sorted(SERVE_PRESETS))}",
@@ -211,8 +229,7 @@ def _parse_app(payload: Dict[str, Any]) -> Tuple[str, Dict[str, int], KernelGrap
         key: _int_in(app, key, default, lo, hi)
         for key, (default, lo, hi) in allowed.items()
     }
-    built = _build_preset(preset, params)
-    return preset, params, built.graph
+    return preset, params
 
 
 def _parse_gpu(payload: Dict[str, Any]) -> Tuple[str, Dict[str, Any], GpuSpec]:
@@ -224,20 +241,25 @@ def _parse_gpu(payload: Dict[str, Any]) -> Tuple[str, Dict[str, Any], GpuSpec]:
             f"unknown gpu.base {base_name!r}; known: {', '.join(GPU_BASES)}",
         )
     base = _resolve_gpu_base(base_name)
-    spec_fields = {f.name for f in fields(GpuSpec)} - {"extras"}
+    if "l2_kb" in gpu and "l2_bytes" in gpu:
+        # Either one sets the L2 size; accepting both would make the
+        # spec depend on the body's key order.
+        raise WireError("bad_request", "give gpu.l2_kb or gpu.l2_bytes, not both")
     overrides: Dict[str, Any] = {}
     for key, value in gpu.items():
         if key == "base":
             continue
         if key == "l2_kb":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise WireError("bad_value", "gpu.l2_kb must be a number")
+            if not _is_number(value):
+                raise WireError("bad_value", "gpu.l2_kb must be a finite number")
             overrides["l2_bytes"] = int(value * 1024)
             continue
-        if key not in spec_fields:
+        if key not in _GPU_FIELDS:
             raise WireError("unknown_gpu", f"unknown GpuSpec field {key!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-            raise WireError("bad_value", f"gpu.{key} must be a number or string")
+        if not (_is_number(value) or isinstance(value, str)):
+            raise WireError(
+                "bad_value", f"gpu.{key} must be a finite number or string"
+            )
         overrides[key] = value
     try:
         spec = replace(base, **overrides) if overrides else base
@@ -261,8 +283,8 @@ def _parse_freq(payload: Dict[str, Any]) -> FrequencyConfig:
     values = {}
     for key in ("gpu_mhz", "mem_mhz"):
         value = freq.get(key, getattr(NOMINAL, key))
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise WireError("bad_value", f"freq.{key} must be a number")
+        if not _is_number(value):
+            raise WireError("bad_value", f"freq.{key} must be a finite number")
         values[key] = float(value)
     try:
         return FrequencyConfig(**values)
@@ -310,13 +332,9 @@ def _parse_config(payload: Dict[str, Any], spec: GpuSpec) -> KTilerConfig:
                 )
             kwargs[key] = value
         else:  # threshold_us / launch_overhead_us
-            if value is not None and (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float))
-                or value < 0
-            ):
+            if value is not None and (not _is_number(value) or value < 0):
                 raise WireError(
-                    "bad_value", f"config.{key} must be a non-negative number"
+                    "bad_value", f"config.{key} must be a finite non-negative number"
                 )
             kwargs[key] = None if value is None else float(value)
     # The serve default matches `ktiler explain`: charge the device's
@@ -341,11 +359,18 @@ _TOP_KEYS = {
 
 @dataclass(frozen=True)
 class PlanRequest:
-    """A validated plan/explain request, ready to hand to a KTiler."""
+    """A validated plan/explain request, ready to hand to a KTiler.
+
+    ``echo`` is the canonical form of every fingerprint input: the
+    preset with all its params, the GPU overrides as given, the
+    resolved frequency, config and planner backend.  Equal echoes mean
+    equal fingerprints, which is what lets the service answer a repeat
+    without building the graph.  ``graph`` is built on first use and
+    kept; the service touches a request from one thread at a time.
+    """
 
     preset: str
     params: Dict[str, int]
-    graph: KernelGraph
     spec: GpuSpec
     freq: FrequencyConfig
     config: KTilerConfig
@@ -355,6 +380,17 @@ class PlanRequest:
     ledger: bool = False
     timeout_s: Optional[float] = None
     echo: Dict[str, Any] = field(default_factory=dict)
+    _graph: Optional[KernelGraph] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def graph(self) -> KernelGraph:
+        """The preset's kernel graph, built once on first use."""
+        if self._graph is None:
+            graph = _build_preset(self.preset, self.params).graph
+            object.__setattr__(self, "_graph", graph)
+        return self._graph
 
 
 def parse_plan_request(
@@ -365,8 +401,10 @@ def parse_plan_request(
     """Validate a decoded JSON body into a :class:`PlanRequest`.
 
     Raises :class:`WireError` (→ 4xx) on any unknown key, unknown
-    preset/GpuSpec field, or out-of-bounds value; unspecified knobs fall
-    back to the service defaults and then the usual env-var resolution.
+    preset/GpuSpec field, or out-of-bounds or non-finite value;
+    unspecified knobs fall back to the service defaults and then the
+    usual env-var resolution.  Builds no graph: see
+    :attr:`PlanRequest.graph`.
     """
     body = _require_mapping(payload, "request body")
     extra = set(body) - _TOP_KEYS
@@ -375,7 +413,7 @@ def parse_plan_request(
             "bad_request",
             f"unknown request fields: {', '.join(sorted(extra))}",
         )
-    preset, params, graph = _parse_app(body)
+    preset, params = _parse_app(body)
     base_name, gpu_echo, spec = _parse_gpu(body)
     freq = _parse_freq(body)
     config = _parse_config(body, spec)
@@ -409,12 +447,8 @@ def parse_plan_request(
         raise WireError("bad_value", "ledger must be a boolean")
 
     timeout_s = body.get("timeout_s")
-    if timeout_s is not None and (
-        isinstance(timeout_s, bool)
-        or not isinstance(timeout_s, (int, float))
-        or timeout_s <= 0
-    ):
-        raise WireError("bad_value", "timeout_s must be a positive number")
+    if timeout_s is not None and (not _is_number(timeout_s) or timeout_s <= 0):
+        raise WireError("bad_value", "timeout_s must be a finite positive number")
 
     echo = {
         "app": {"preset": preset, **params},
@@ -426,7 +460,6 @@ def parse_plan_request(
     return PlanRequest(
         preset=preset,
         params=params,
-        graph=graph,
         spec=spec,
         freq=freq,
         config=config,

@@ -1,21 +1,23 @@
 """Black-box integration suite for the ``ktiler serve`` daemon.
 
 Everything here talks to a real daemon over real HTTP (ephemeral port,
-stdlib urllib) — never to :class:`PlanService` directly — so the wire
-format, routing, Content-Length discipline, and error mapping are what
-is exercised.  The core contract: a plan served over the wire is
-byte-identical (same plan digest, same schedule document) to
-``KTiler.plan`` called in-process on the same request.
+stdlib ``http.client``) — never to :class:`PlanService` directly — so
+the wire format, routing, Content-Length discipline, keep-alive, and
+error mapping are what is exercised.  The core contract: a plan served
+over the wire is byte-identical (same plan digest, same schedule
+document) to ``KTiler.plan`` called in-process on the same request.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 
 import pytest
 
+from repro.serve import server as server_module
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.server import start_server
 from repro.serve.service import PlanService
@@ -38,7 +40,8 @@ def daemon():
 
 @pytest.fixture()
 def client(daemon):
-    return ServeClient(daemon.url)
+    with ServeClient(daemon.url) as client:
+        yield client
 
 
 DEMO = {"app": {"preset": "demo"}}
@@ -120,14 +123,16 @@ class TestWarmStore:
 
         first = make_daemon(store=ArtifactStore(tmp_path / "cache"))
         try:
-            cold = ServeClient(first.url).plan(DEMO)
+            with ServeClient(first.url) as client:
+                cold = client.plan(DEMO)
         finally:
             first.close()
         assert cold["served"] == "planned"
 
         second = make_daemon(store=ArtifactStore(tmp_path / "cache"))
         try:
-            warm = ServeClient(second.url).plan(DEMO)
+            with ServeClient(second.url) as client:
+                warm = client.plan(DEMO)
             metrics = second.service.tracer.metrics
             # A fresh daemon has no memo, so the request runs a planning
             # job — which is answered by the store, not replanned.
@@ -209,6 +214,31 @@ class TestErrorHandling:
             client.plan({"gpu": {"l2_bytes": -1}})
         assert err.value.status == 400
         assert err.value.code == "bad_value"
+
+    @pytest.mark.parametrize(
+        "body, code",
+        [
+            ({"app": {"preset": ["fig5"]}}, "unknown_preset"),
+            ({"freq": {"gpu_mhz": float("nan")}}, "bad_value"),
+            ({"gpu": {"l2_kb": float("inf")}}, "bad_value"),
+            ({"config": {"threshold_us": float("nan")}}, "bad_value"),
+            ({"timeout_s": float("inf")}, "bad_value"),
+        ],
+        ids=["list-preset", "nan-freq", "inf-gpu", "nan-config", "inf-timeout"],
+    )
+    def test_values_json_cannot_plan_are_structured_400s(self, client, body, code):
+        """Non-string presets and the NaN/Infinity ``json.loads`` accepts
+        used to escape as 500s or as invalid JSON responses."""
+        with pytest.raises(ServeClientError) as err:
+            client.plan(body)
+        assert err.value.status == 400
+        assert err.value.code == code
+
+    def test_l2_kb_and_l2_bytes_together_are_a_400(self, client):
+        with pytest.raises(ServeClientError) as err:
+            client.plan({"gpu": {"l2_kb": 512, "l2_bytes": 1024}})
+        assert err.value.status == 400
+        assert err.value.code == "bad_request"
 
     def test_unknown_top_level_field_is_a_structured_400(self, client):
         with pytest.raises(ServeClientError) as err:
@@ -311,7 +341,8 @@ class TestAdvertisedUrl:
             assert handle.host == "127.0.0.1"
             assert handle.url == f"http://127.0.0.1:{handle.port}"
             # The advertised URL actually answers.
-            assert ServeClient(handle.url).health()["status"] == "ok"
+            with ServeClient(handle.url) as client:
+                assert client.health()["status"] == "ok"
         finally:
             handle.close()
 
@@ -457,3 +488,93 @@ class TestRequestIdOnErrors:
             assert len(echoed) == 16
         finally:
             conn.close()
+
+
+@pytest.fixture()
+def accepted(monkeypatch):
+    """Client addresses of the TCP connections daemons accept."""
+    addresses = []
+    setup = server_module._Handler.setup
+
+    def counting_setup(handler):
+        addresses.append(handler.client_address)
+        setup(handler)
+
+    monkeypatch.setattr(server_module._Handler, "setup", counting_setup)
+    return addresses
+
+
+class TestClientConnections:
+    """``ServeClient`` keeps one connection per thread and reconnects
+    when the daemon closed it."""
+
+    def test_one_client_sends_every_request_over_one_connection(
+        self, daemon, client, accepted
+    ):
+        responses = [client.plan(DEMO, request_id=f"ka-{i}") for i in range(5)]
+        assert client.health()["status"] == "ok"
+        assert [r["request_id"] for r in responses] == [f"ka-{i}" for i in range(5)]
+        assert [r["served"] for r in responses] == ["planned"] + ["memo"] * 4
+        assert len(accepted) == 1
+        client.close()
+        assert client.health()["status"] == "ok"
+        assert len(accepted) == 2
+
+    def test_reconnects_after_a_connection_close_response(self, accepted):
+        handle = make_daemon(max_body_bytes=512)
+        try:
+            with ServeClient(handle.url) as client:
+                with pytest.raises(ServeClientError) as err:
+                    client.plan({**DEMO, "planner_backend": "x" * 600})
+                assert err.value.status == 413
+                assert client.plan(DEMO)["served"] == "planned"
+        finally:
+            handle.close()
+        assert len(accepted) == 2
+
+    def test_reconnects_after_the_idle_timeout(self, monkeypatch, accepted):
+        monkeypatch.setattr(server_module._Handler, "timeout", 0.2)
+        handle = make_daemon()
+        try:
+            with ServeClient(handle.url) as client:
+                assert client.health()["status"] == "ok"
+                time.sleep(0.6)  # the daemon closes the idle connection
+                # The client still holds the dead socket; the request
+                # finds it closed and retries on a fresh connection.
+                assert client._local.conn.sock is not None
+                assert client.health()["status"] == "ok"
+        finally:
+            handle.close()
+        assert len(accepted) == 2
+
+    def test_one_client_shared_by_four_threads(self, daemon, client, accepted):
+        client.plan(DEMO)
+        results, errors = {}, []
+        done = threading.Barrier(5, timeout=60)
+        closed = threading.Event()
+
+        def worker(index):
+            try:
+                for j in range(5):
+                    rid = f"t{index}-{j}"
+                    results[rid] = client.plan(DEMO, request_id=rid)
+            except BaseException as exc:
+                errors.append(exc)
+            done.wait()
+            closed.wait(timeout=60)  # keep the connection until close()
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        done.wait()
+        assert len(accepted) == 5  # the main thread's, then one per worker
+        client.close()  # closes the workers' connections too
+        assert all(conn.sock is None for conn in client._connections)
+        closed.set()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert not errors, errors[0]
+        assert len(results) == 20
+        assert all(r["request_id"] == rid for rid, r in results.items())
+        assert {r["served"] for r in results.values()} == {"memo"}
