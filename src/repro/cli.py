@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import List, Optional
@@ -390,27 +389,19 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 EXPLAIN_PRESETS = ("demo", "fig5", "pipeline", "jacobi", "diamond", "stencil")
 
 
-def _build_explain_app(preset: str):
-    from repro.apps import build_hsopticalflow, build_pipeline
-    from repro.apps.synthetic import (
-        build_diamond,
-        build_jacobi_pingpong,
-        build_stencil_chain,
-    )
+def _preset_app(args: argparse.Namespace):
+    """The ``--preset`` application, built from the daemon's preset
+    registry; the probe presets (``ktiler profile`` only) honour
+    ``--kernels``, ``--size`` and ``--seed``."""
+    from repro.apps.synthetic import PROBE_SHAPES
+    from repro.serve.wire import build_preset_app
 
-    if preset == "fig5":
-        # The scaled Figure 5 application (same shape run_fig5 uses);
-        # the attributed replays add a few seconds on top of planning.
-        return build_hsopticalflow(frame_size=256, levels=3, jacobi_iters=20)
-    if preset == "demo":
-        return build_pipeline(size=128)
-    if preset == "pipeline":
-        return build_pipeline(size=256)
-    if preset == "jacobi":
-        return build_jacobi_pingpong(iters=5, size=256)
-    if preset == "diamond":
-        return build_diamond(size=128)
-    return build_stencil_chain(size=128)
+    if args.preset not in PROBE_SHAPES:
+        return build_preset_app(args.preset)
+    params = {"kernels": args.kernels, "seed": args.seed}
+    if args.size:
+        params["size"] = args.size
+    return build_preset_app(args.preset, **params)
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
@@ -419,7 +410,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.obs.audit import audit_schedule, write_audit
 
     tracer = _make_tracer(args)
-    app = _build_explain_app(args.preset)
+    app = _preset_app(args)
     spec = _resolve_spec(SCALED_SPEC, args)
     print(app.graph.summary())
     ktiler = KTiler(
@@ -463,7 +454,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     from repro.obs.diff import diff_plans, format_divergence, write_diff
 
     tracer = _make_tracer(args)
-    app = _build_explain_app(args.preset)
+    app = _preset_app(args)
     spec = _resolve_spec(SCALED_SPEC, args)
     freq_a = _diff_freq(args.gpu_mhz_a, args.mem_mhz_a)
     gpu_b, mem_b = args.gpu_mhz_b, args.mem_mhz_b
@@ -519,22 +510,9 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 PROFILE_PRESETS = EXPLAIN_PRESETS + ("chain", "fan", "grid")
 
 
-def _build_profile_app(args: argparse.Namespace):
-    from repro.apps.synthetic import PROBE_SHAPES, build_probe_graph
-
-    if args.preset in PROBE_SHAPES:
-        return build_probe_graph(
-            shape=args.preset,
-            kernels=args.kernels,
-            size=args.size or 32,
-            seed=args.seed,
-        )
-    return _build_explain_app(args.preset)
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.apps.synthetic import PROBE_SHAPES
-    from repro.obs.bench_html import write_profile_html
+    from repro.obs.pages import write_profile_html
     from repro.obs.profile import (
         build_profile_doc,
         compare_exponents,
@@ -550,7 +528,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     tracer = Tracer()
     spec = _resolve_spec(SCALED_SPEC, args)
     engine = None if args.engine == "none" else args.engine
-    app = _build_profile_app(args)
+    app = _preset_app(args)
     print(app.graph.summary())
     capture = profile_planner(
         app,
@@ -639,136 +617,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             print("no exponent drift vs baseline", file=sys.stderr)
     _finish_obs(args, tracer)
     return code
-
-
-def _load_bench_doc(path: str) -> dict:
-    from repro.obs.bench import validate_bench
-
-    with open(path, "r", encoding="utf-8") as fh:
-        return validate_bench(json.load(fh))
-
-
-def _bench_verdict(report, strict: bool) -> int:
-    """Print the comparison and turn it into an exit code.
-
-    Regressions are enforced (exit 2) only when the environment
-    fingerprints match — on a different machine/backend/worker count
-    the baseline's noise band says nothing, so the comparison is
-    advisory unless ``--strict`` forces it.
-    """
-    print(report.format_table())
-    if report.ok:
-        return 0
-    if not report.fingerprint_match and not strict:
-        print(
-            "fingerprints differ: regression(s) reported as advisory only "
-            "(use --strict to enforce)",
-            file=sys.stderr,
-        )
-        return 0
-    for delta in report.regressions:
-        where = f" in the {delta.phase} phase" if delta.phase else ""
-        print(
-            f"REGRESSION: {delta.name} slowed "
-            f"{delta.baseline_s * 1e3:.2f} -> {delta.current_s * 1e3:.2f} ms "
-            f"(band {delta.band_s * 1e3:.2f} ms){where}",
-            file=sys.stderr,
-        )
-    return 2
-
-
-def _cmd_bench_run(args: argparse.Namespace) -> int:
-    from repro.obs.bench import compare_docs, run_suite
-    from repro.obs.bench_html import write_bench
-
-    names = args.benchmarks.split(",") if args.benchmarks else None
-    # The suite's KTilers resolve the planner backend from the
-    # environment, so export the flag there: the fingerprint and the
-    # benchmarked pipeline then agree by construction.
-    if _planner_backend(args):
-        os.environ[PLANNER_BACKEND_ENV_VAR] = _planner_backend(args)
-    doc = run_suite(
-        names=names,
-        scale=args.scale,
-        repeats=args.repeats,
-        warmup=args.warmup,
-        workers=_workers(args),
-        log=lambda line: print(line, file=sys.stderr),
-        planner_backend=_planner_backend(args),
-    )
-    report = None
-    if args.compare:
-        report = compare_docs(
-            _load_bench_doc(args.compare), doc,
-            k_sigma=args.k_sigma, rel_tol=args.rel_tol,
-        )
-    written = write_bench(
-        doc,
-        json_path=args.json,
-        html_path=args.html,
-        history_path=args.history,
-        compare=report,
-    )
-    if args.update_baseline:
-        with open(args.update_baseline, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written.append(args.update_baseline)
-    if written:
-        print(f"wrote {', '.join(written)}", file=sys.stderr)
-    if report is not None:
-        return _bench_verdict(report, args.strict)
-    return 0
-
-
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from repro.obs.bench import compare_docs
-
-    report = compare_docs(
-        _load_bench_doc(args.baseline),
-        _load_bench_doc(args.current),
-        k_sigma=args.k_sigma,
-        rel_tol=args.rel_tol,
-    )
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.json}", file=sys.stderr)
-    return _bench_verdict(report, args.strict)
-
-
-def _cmd_bench_report(args: argparse.Namespace) -> int:
-    from repro.obs.bench import load_history
-    from repro.obs.bench_html import render_bench_html
-
-    history = load_history(args.history)
-    if not history:
-        print(f"no valid runs in {args.history}", file=sys.stderr)
-        return 1
-    latest, earlier = history[-1], history[:-1]
-    with open(args.html, "w", encoding="utf-8") as fh:
-        fh.write(render_bench_html(latest, history=earlier))
-    print(
-        f"wrote {args.html} ({len(history)} run(s) in {args.history})",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def _add_bench_compare_knobs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--k-sigma", type=float, default=3.0, metavar="K",
-        help="noise-band width in robust sigmas (MAD * 1.4826)",
-    )
-    parser.add_argument(
-        "--rel-tol", type=float, default=0.10, metavar="FRAC",
-        help="relative floor of the noise band (fraction of baseline)",
-    )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="enforce regressions even when fingerprints differ",
-    )
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1149,65 +997,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit 2 on exponent drift (default: advisory)")
     _add_common(p)
     p.set_defaults(func=_cmd_profile)
-
-    p = sub.add_parser(
-        "bench",
-        help=(
-            "statistical benchmark harness: repeated phase-attributed "
-            "timings, history trajectory, noise-aware regression checks"
-        ),
-    )
-    bench_sub = p.add_subparsers(dest="bench_command", required=True)
-
-    b = bench_sub.add_parser(
-        "run", help="run the suite; write JSON/HTML, append history"
-    )
-    b.add_argument("--repeats", type=int, default=5, metavar="N",
-                   help="timed repeats per benchmark")
-    b.add_argument("--warmup", type=int, default=1, metavar="K",
-                   help="untimed warmup runs per benchmark")
-    b.add_argument("--benchmarks", metavar="A,B", default=None,
-                   help="comma-separated subset of the registered suite")
-    b.add_argument("--scale", choices=("full", "quick"), default="full",
-                   help="workload sizes (quick = sub-second smoke)")
-    b.add_argument("--json", metavar="PATH", default="bench.json",
-                   help="bench-run document output path")
-    b.add_argument("--html", metavar="PATH", default="bench.html",
-                   help="self-contained HTML dashboard output path")
-    b.add_argument("--history", metavar="PATH", default=None,
-                   help="append-only JSONL trajectory to read and extend")
-    b.add_argument("--compare", metavar="BASELINE", default=None,
-                   help="baseline bench-run JSON to check against")
-    b.add_argument("--update-baseline", metavar="PATH", default=None,
-                   help="also write this run as the new baseline")
-    b.add_argument("--planner-backend", choices=PLANNER_BACKENDS,
-                   default=None,
-                   help="merge planner (exported to the environment and "
-                        "recorded in the fingerprint)")
-    b.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="worker count (recorded in the fingerprint)")
-    _add_bench_compare_knobs(b)
-    b.set_defaults(func=_cmd_bench_run)
-
-    b = bench_sub.add_parser(
-        "compare",
-        help="compare two bench-run JSONs; exit 2 on regression",
-    )
-    b.add_argument("baseline", help="baseline bench-run JSON")
-    b.add_argument("current", help="fresh bench-run JSON to judge")
-    b.add_argument("--json", metavar="PATH", default=None,
-                   help="also write the comparison report as JSON")
-    _add_bench_compare_knobs(b)
-    b.set_defaults(func=_cmd_bench_compare)
-
-    b = bench_sub.add_parser(
-        "report", help="render the HTML dashboard from a history file"
-    )
-    b.add_argument("--history", metavar="PATH", default="BENCH_history.jsonl",
-                   help="JSONL trajectory to render")
-    b.add_argument("--html", metavar="PATH", default="bench.html",
-                   help="dashboard output path")
-    b.set_defaults(func=_cmd_bench_report)
 
     p = sub.add_parser(
         "serve",

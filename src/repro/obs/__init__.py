@@ -13,12 +13,11 @@ The subsystem has four pieces:
 * :mod:`repro.obs.audit` — opt-in L2 miss attribution (cold /
   capacity / conflict, per kernel and buffer) and the default-vs-tiled
   schedule auditor behind ``ktiler explain``;
-* :mod:`repro.obs.bench` / :mod:`repro.obs.bench_html` — the
-  statistical benchmark harness behind ``ktiler bench``: repeated
-  phase-attributed timings with median/MAD/bootstrap-CI statistics,
-  environment fingerprints, an append-only history trajectory, a
-  noise-aware regression detector, and a self-contained HTML
-  dashboard;
+* :mod:`repro.obs.bench` — benchmark statistics (median/MAD/
+  bootstrap CI), span-to-phase attribution, environment fingerprints,
+  and the schema check of the load generator's bench document;
+* :mod:`repro.obs.pages` — the shared HTML page shell and the
+  ``ktiler profile`` dashboard;
 * :mod:`repro.obs.histogram` / :mod:`repro.obs.ops` /
   :mod:`repro.obs.slog` — request-scoped serve telemetry: mergeable
   log-bucket latency histograms, contextvar request propagation with
@@ -86,29 +85,17 @@ from repro.obs.slog import (
 from repro.obs.bench import (
     BENCH_SCHEMA_VERSION,
     PHASES,
-    BenchDelta,
     BenchResult,
-    CompareReport,
     SampleStats,
-    append_history,
     bootstrap_ci,
-    compare_docs,
     environment_fingerprint,
     fingerprint_noise_key,
-    load_history,
     mad,
-    noise_band_s,
     phase_breakdown,
     run_benchmark,
-    run_suite,
     validate_bench,
 )
-from repro.obs.bench_html import (
-    render_bench_html,
-    render_profile_html,
-    write_bench,
-    write_profile_html,
-)
+from repro.obs.pages import render_profile_html, write_profile_html
 from repro.obs.profile import (
     DEFAULT_SWEEP_SIZES,
     PROFILE_ENGINES,
@@ -219,24 +206,15 @@ __all__ = [
     "write_audit",
     "BENCH_SCHEMA_VERSION",
     "PHASES",
-    "BenchDelta",
     "BenchResult",
-    "CompareReport",
     "SampleStats",
-    "append_history",
     "bootstrap_ci",
-    "compare_docs",
     "environment_fingerprint",
     "fingerprint_noise_key",
-    "load_history",
     "mad",
-    "noise_band_s",
     "phase_breakdown",
     "run_benchmark",
-    "run_suite",
     "validate_bench",
-    "render_bench_html",
-    "write_bench",
     "render_profile_html",
     "write_profile_html",
     "PROFILE_SCHEMA_VERSION",

@@ -53,6 +53,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.gpusim.dram import DramModel
 from repro.gpusim.freq import FrequencyConfig, NOMINAL
+from repro.obs.pages import page
 from repro.obs.tracer import NULL_TRACER
 
 #: Miss classes, in partition order.
@@ -733,16 +734,9 @@ def validate_audit(payload: dict) -> dict:
     return payload
 
 
-_HTML_STYLE = """
-body { font: 14px/1.45 system-ui, sans-serif; margin: 2em auto;
-       max-width: 70em; color: #222; }
-h1 { font-size: 1.4em; } h2 { font-size: 1.1em; margin-top: 2em; }
-table { border-collapse: collapse; width: 100%; margin: 0.75em 0; }
-th, td { border: 1px solid #ccc; padding: 0.3em 0.6em; text-align: right; }
-th { background: #f2f2f2; } td.name, th.name { text-align: left; }
+_AUDIT_STYLE = """
 .bar { background: #4a90d9; height: 0.8em; display: inline-block;
        min-width: 1px; vertical-align: middle; }
-.neg { color: #b00; } .summary { color: #444; }
 """
 
 
@@ -755,9 +749,6 @@ def render_html(payload: dict) -> str:
     esc = html.escape
     summary = payload["summary"]
     parts = [
-        "<!DOCTYPE html><html><head><meta charset='utf-8'>",
-        f"<title>ktiler explain — {esc(payload['preset'])}</title>",
-        f"<style>{_HTML_STYLE}</style></head><body>",
         f"<h1>ktiler explain — preset <code>{esc(payload['preset'])}</code>"
         f" @ {esc(payload['freq'])}</h1>",
         "<p class='summary'>"
@@ -871,8 +862,10 @@ def render_html(payload: dict) -> str:
                 "</tr>"
             )
         parts.append("</table>")
-    parts.append("</body></html>")
-    return "".join(parts)
+    return page(
+        f"ktiler explain — {payload['preset']}", "".join(parts),
+        css=_AUDIT_STYLE,
+    )
 
 
 def write_audit(

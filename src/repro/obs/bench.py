@@ -1,9 +1,10 @@
-"""Statistical benchmark harness with phase attribution (``repro.obs.bench``).
+"""Benchmark statistics and phase attribution (``repro.obs.bench``).
 
 The paper's whole argument is a performance delta, yet single-shot
 timings cannot distinguish a real regression from scheduler jitter on a
-shared machine.  This module is the perf analogue of the audit layer:
-every number it reports carries a noise model and an attribution.
+shared machine.  This module holds the measurement primitives that the
+load generator, ``ktiler profile`` and the ``benchmarks/test_perf_*``
+guards share; the repository's timing harness of record is ``bench/``.
 
 Pieces, bottom to top:
 
@@ -14,34 +15,22 @@ Pieces, bottom to top:
 * **phase attribution** — :func:`phase_breakdown` folds a tracer's
   wall-clock span events into the pipeline phases (trace → block graph
   → profile → partition → tile → replay), using *exclusive* span time
-  so nested spans are never double-counted.  Benchmarks run under a
-  fresh :class:`~repro.obs.tracer.Tracer` per repeat, so a regression
-  can name the phase that slowed, not just the total.
+  so nested spans are never double-counted.  The serve request log and
+  ``ktiler profile`` both attribute time this way.
 * **environment fingerprint** — :func:`environment_fingerprint`
   attaches git sha, python, platform, cpu count, planner backend, and
-  worker count to every run; :func:`fingerprint_noise_key` hashes the
-  machine-stable subset (the git sha is deliberately excluded: it
+  worker count to every document; :func:`fingerprint_noise_key` hashes
+  the machine-stable subset (the git sha is deliberately excluded: it
   changes every commit without changing the machine's noise profile),
-  so the regression detector knows when two runs are comparable.
+  so a reader knows when two documents are comparable.
 * **harness** — :func:`run_benchmark` (warmup + N timed repeats of one
-  callable) and :func:`run_suite` (the registered CI-friendly suite),
-  producing a schema-versioned run document (:func:`validate_bench`).
-* **history** — :func:`append_history` / :func:`load_history` maintain
-  an append-only ``BENCH_history.jsonl`` trajectory (one JSON line per
-  run; corrupt lines are skipped, never fatal).
-* **regression detector** — :func:`compare_docs` checks a fresh run
-  against a baseline (``benchmarks/baseline.json``) inside a noise
-  band derived from both runs' MADs, and attributes each regression to
-  the worst-offending phase.
-
-Surfaced as ``ktiler bench run|compare|report`` (see
-:mod:`repro.cli`); the HTML dashboard lives in
-:mod:`repro.obs.bench_html`.
+  callable under a fresh tracer each), and the schema check
+  :func:`validate_bench` of the bench-run document the load generator
+  writes.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import subprocess
@@ -54,13 +43,9 @@ import numpy as np
 from repro.obs.tracer import Tracer
 from repro.store.fingerprint import content_key
 
-#: Version stamp of every bench-run document and history line.
-#: v2 adds the loadgen outcome decomposition + latency histograms;
-#: v1 documents (committed baselines, old history lines) stay valid.
+#: Version stamp of every bench-run document.  v2 added the loadgen
+#: outcome decomposition + latency histograms.
 BENCH_SCHEMA_VERSION = 2
-
-#: Schema versions :func:`validate_bench` accepts on read.
-SUPPORTED_BENCH_SCHEMAS = (1, 2)
 
 #: Pipeline phases, in pipeline order.  ``other`` absorbs spans with no
 #: mapping and the un-spanned remainder of the wall time.
@@ -109,17 +94,13 @@ def median(samples: Sequence[float]) -> float:
 def mad(samples: Sequence[float]) -> float:
     """Median absolute deviation around the median (unscaled).
 
-    Multiply by 1.4826 to estimate a gaussian sigma; the detector does
-    this internally when it builds noise bands.
+    Multiply by 1.4826 to estimate a gaussian sigma.
     """
     xs = np.asarray(samples, dtype=float)
     if not xs.size:
         raise ValueError("mad of an empty sample list")
     return float(np.median(np.abs(xs - np.median(xs))))
 
-
-#: MAD -> sigma for gaussian noise.
-MAD_TO_SIGMA = 1.4826
 
 #: Fixed bootstrap seed: the CI of a given sample list is reproducible.
 _BOOTSTRAP_SEED = 20190325  # DATE 2019
@@ -269,7 +250,8 @@ def phase_breakdown(
 # Environment fingerprint
 # ----------------------------------------------------------------------
 #: Fingerprint fields that shape the machine's noise profile; the hash
-#: of these (:func:`fingerprint_noise_key`) gates baseline comparisons.
+#: of these (:func:`fingerprint_noise_key`) says when two documents'
+#: timings are comparable.
 NOISE_KEY_FIELDS = (
     "python", "implementation", "platform", "machine", "cpu_count",
     "planner_backend", "workers", "numpy",
@@ -325,8 +307,8 @@ def fingerprint_noise_key(fp: dict) -> str:
     """sha256 over the machine-stable fingerprint fields.
 
     Two runs are noise-comparable iff their keys match.  The git sha is
-    excluded on purpose: the whole point of the trajectory is comparing
-    *across* commits on one machine.
+    excluded on purpose: the point is comparing *across* commits on one
+    machine.
     """
     return content_key({k: fp.get(k) for k in NOISE_KEY_FIELDS})
 
@@ -431,164 +413,6 @@ def run_benchmark(
 
 
 # ----------------------------------------------------------------------
-# The registered suite
-# ----------------------------------------------------------------------
-#: Workload sizes per scale.  ``full`` is the CI/history suite (a few
-#: seconds per benchmark run); ``quick`` is the sub-second smoke used
-#: by the tier-1 tests.
-_SCALES = {
-    "full": dict(pipeline_size=512, hs_frame=128, hs_levels=2, hs_iters=5,
-                 replay_image=768, replay_repeats=3),
-    "quick": dict(pipeline_size=128, hs_frame=64, hs_levels=2, hs_iters=2,
-                  replay_image=256, replay_repeats=2),
-}
-
-BENCH_SCALES = tuple(_SCALES)
-
-
-def _bench_pipeline_plan(sizes: dict) -> Callable[[Tracer], object]:
-    """Full pipeline (trace -> block graph -> profile -> tile) on Fig. 1."""
-    from repro.apps import build_pipeline
-    from repro.core import KTiler, KTilerConfig
-    from repro.gpusim.freq import NOMINAL
-
-    def run(tracer: Tracer):
-        app = build_pipeline(size=sizes["pipeline_size"])
-        ktiler = KTiler(
-            app.graph,
-            config=KTilerConfig(launch_overhead_us=2.0),
-            tracer=tracer,
-        )
-        return ktiler.plan(NOMINAL)
-
-    return run
-
-
-def _bench_hsopticalflow_plan(sizes: dict) -> Callable[[Tracer], object]:
-    """The scaled-down optical-flow application end to end."""
-    from repro.apps import build_hsopticalflow
-    from repro.core import KTiler, KTilerConfig
-    from repro.gpusim.freq import NOMINAL
-
-    def run(tracer: Tracer):
-        app = build_hsopticalflow(
-            frame_size=sizes["hs_frame"],
-            levels=sizes["hs_levels"],
-            jacobi_iters=sizes["hs_iters"],
-        )
-        ktiler = KTiler(
-            app.graph,
-            config=KTilerConfig(launch_overhead_us=2.0),
-            tracer=tracer,
-        )
-        return ktiler.plan(NOMINAL)
-
-    return run
-
-
-def _bench_pipeline_compare(sizes: dict) -> Callable[[Tracer], object]:
-    """Replay-dominated: default-vs-tiled comparison of a memoized plan."""
-    from repro.apps import build_pipeline
-    from repro.core import KTiler, KTilerConfig
-    from repro.gpusim.freq import NOMINAL
-    from repro.runtime import compare_default_vs_ktiler
-
-    app = build_pipeline(size=sizes["pipeline_size"])
-    ktiler = KTiler(app.graph, config=KTilerConfig(launch_overhead_us=2.0))
-    ktiler.plan(NOMINAL)  # planning cost stays out of the timed region
-
-    def run(tracer: Tracer):
-        return compare_default_vs_ktiler(ktiler, [NOMINAL], tracer=tracer)
-
-    return run
-
-
-def _bench_replay_raw(sizes: dict) -> Callable[[Tracer], object]:
-    """The L2's raw replay of a production-shaped line stream."""
-    from repro.gpusim.fast_cache import FastSetAssocCache
-    from repro.graph.buffers import BufferAllocator
-    from repro.kernels.pointwise import ScaleKernel
-
-    side = sizes["replay_image"]
-    alloc = BufferAllocator()
-    src = alloc.new_image("src", side, side)
-    out = alloc.new_image("out", side, side)
-    kernel = ScaleKernel(src, out, 2.0)
-    lines, writes, _ = kernel.range_line_arrays(range(kernel.num_blocks), 7)
-    lines = np.tile(lines, sizes["replay_repeats"])
-    writes = np.tile(writes, sizes["replay_repeats"])
-
-    def run(tracer: Tracer):
-        cache = FastSetAssocCache(num_sets=1024, assoc=16, line_bytes=128)
-        with tracer.span("bench.replay", cat="bench", accesses=int(lines.size)):
-            return cache.replay_arrays(lines, writes)
-
-    return run
-
-
-#: name -> factory(sizes) -> fn(tracer).  Insertion order is run order.
-BENCH_SUITE: Dict[str, Callable[[dict], Callable[[Tracer], object]]] = {
-    "pipeline.plan": _bench_pipeline_plan,
-    "hsopticalflow.plan": _bench_hsopticalflow_plan,
-    "pipeline.compare": _bench_pipeline_compare,
-    "replay.raw": _bench_replay_raw,
-}
-
-
-def run_suite(
-    names: Optional[Sequence[str]] = None,
-    scale: str = "full",
-    repeats: int = 5,
-    warmup: int = 1,
-    workers: Optional[int] = None,
-    log: Optional[Callable[[str], None]] = None,
-    planner_backend: Optional[str] = None,
-) -> dict:
-    """Run (a subset of) the registered suite; return the run document.
-
-    The document is schema-versioned, self-describing (environment
-    fingerprint, harness config), validated before it is returned, and
-    is what ``ktiler bench run`` writes, appends to the history, and
-    compares against the baseline.
-    """
-    if scale not in _SCALES:
-        raise ValueError(f"unknown scale {scale!r}; choose from {BENCH_SCALES}")
-    sizes = _SCALES[scale]
-    selected = list(names) if names else list(BENCH_SUITE)
-    unknown = [n for n in selected if n not in BENCH_SUITE]
-    if unknown:
-        raise ValueError(
-            f"unknown benchmarks {unknown}; registered: {list(BENCH_SUITE)}"
-        )
-    results: List[BenchResult] = []
-    for name in selected:
-        fn = BENCH_SUITE[name](sizes)
-        result = run_benchmark(name, fn, repeats=repeats, warmup=warmup)
-        if log is not None:
-            top = max(
-                result.phases.items(),
-                key=lambda kv: kv[1]["median"],
-                default=("other", {"median": 0.0}),
-            )
-            log(
-                f"{name}: median {result.wall.median:.3f}s "
-                f"(MAD {result.wall.mad * 1e3:.1f}ms, "
-                f"CI95 [{result.wall.ci95[0]:.3f}, {result.wall.ci95[1]:.3f}]s"
-                f", top phase {top[0]} {top[1]['median']:.3f}s)"
-            )
-        results.append(result)
-    doc = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "kind": "bench-run",
-        "created_unix": round(time.time(), 3),
-        "environment": environment_fingerprint(workers, planner_backend),
-        "config": {"repeats": repeats, "warmup": warmup, "scale": scale},
-        "benchmarks": [r.as_dict() for r in results],
-    }
-    return validate_bench(doc)
-
-
-# ----------------------------------------------------------------------
 # Schema check
 # ----------------------------------------------------------------------
 _STATS_KEYS = ("samples", "median", "mad", "mean", "min", "max", "ci95",
@@ -625,13 +449,12 @@ def validate_bench(doc: dict) -> dict:
     """Check a bench-run document against the schema; return it unchanged.
 
     Raises :class:`ValueError` on the first violation (so it chains);
-    run by ``ktiler bench`` on everything it writes or reads and by the
-    CI ``bench-history`` job.
+    run by ``ktiler loadgen`` on everything it writes.
     """
     _require(isinstance(doc, dict), "document is not an object")
     _require(
-        doc.get("schema_version") in SUPPORTED_BENCH_SCHEMAS,
-        f"schema_version not in {SUPPORTED_BENCH_SCHEMAS}",
+        doc.get("schema_version") == BENCH_SCHEMA_VERSION,
+        f"schema_version != {BENCH_SCHEMA_VERSION}",
     )
     _require(doc.get("kind") == "bench-run", "kind != 'bench-run'")
     env = doc.get("environment")
@@ -682,13 +505,13 @@ def validate_bench(doc: dict) -> dict:
     names = [b["name"] for b in benchmarks]
     _require(len(names) == len(set(names)), "duplicate benchmark names")
     loadgen = doc.get("loadgen")
-    if loadgen is not None and doc["schema_version"] >= 2:
+    if loadgen is not None:
         _validate_loadgen_block(loadgen)
     return doc
 
 
 def _validate_loadgen_block(loadgen: object) -> None:
-    """v2 loadgen extras: outcome decomposition + latency histograms."""
+    """Loadgen extras: outcome decomposition + latency histograms."""
     from repro.obs.histogram import LogHistogram
 
     _require(isinstance(loadgen, dict), "'loadgen' is not an object")
@@ -716,246 +539,3 @@ def _validate_loadgen_block(loadgen: object) -> None:
                 hist.count == loadgen.get("requests"),
                 f"loadgen.{key} count != 'requests'",
             )
-
-
-# ----------------------------------------------------------------------
-# History
-# ----------------------------------------------------------------------
-def append_history(path: str, doc: dict) -> None:
-    """Append one validated run as a single JSON line (append-only)."""
-    line = json.dumps(validate_bench(doc), sort_keys=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(line + "\n")
-
-
-def load_history(path: str) -> List[dict]:
-    """All valid runs in a history file, oldest first.
-
-    Corrupt or foreign lines (a torn append, a schema bump) are
-    skipped: the trajectory degrades, it never crashes the tooling.
-    """
-    if not os.path.exists(path):
-        return []
-    runs: List[dict] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                runs.append(validate_bench(json.loads(line)))
-            except (ValueError, TypeError):
-                continue
-    return runs
-
-
-# ----------------------------------------------------------------------
-# Regression detector
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class BenchDelta:
-    """One benchmark's baseline-vs-current comparison."""
-
-    name: str
-    baseline_s: float
-    current_s: float
-    band_s: float
-    regressed: bool
-    improved: bool
-    #: The worst-offending phase of a regression (None when the phase
-    #: deltas are all inside their own bands or no phases were traced).
-    phase: Optional[str] = None
-    phase_delta_s: float = 0.0
-
-    @property
-    def delta_s(self) -> float:
-        return self.current_s - self.baseline_s
-
-    @property
-    def ratio(self) -> float:
-        return self.current_s / self.baseline_s if self.baseline_s else 1.0
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "baseline_s": round(self.baseline_s, 6),
-            "current_s": round(self.current_s, 6),
-            "delta_s": round(self.delta_s, 6),
-            "ratio": round(self.ratio, 4),
-            "band_s": round(self.band_s, 6),
-            "regressed": self.regressed,
-            "improved": self.improved,
-            "phase": self.phase,
-            "phase_delta_s": round(self.phase_delta_s, 6),
-        }
-
-
-@dataclass
-class CompareReport:
-    """The regression detector's verdict over a whole run pair."""
-
-    deltas: List[BenchDelta]
-    fingerprint_match: bool
-    baseline_sha: str
-    current_sha: str
-    k_sigma: float
-    rel_tol: float
-    only_in_baseline: List[str] = field(default_factory=list)
-    only_in_current: List[str] = field(default_factory=list)
-
-    @property
-    def regressions(self) -> List[BenchDelta]:
-        return [d for d in self.deltas if d.regressed]
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions
-
-    def as_dict(self) -> dict:
-        return {
-            "fingerprint_match": self.fingerprint_match,
-            "baseline_sha": self.baseline_sha,
-            "current_sha": self.current_sha,
-            "k_sigma": self.k_sigma,
-            "rel_tol": self.rel_tol,
-            "ok": self.ok,
-            "deltas": [d.as_dict() for d in self.deltas],
-            "only_in_baseline": list(self.only_in_baseline),
-            "only_in_current": list(self.only_in_current),
-        }
-
-    def format_table(self) -> str:
-        lines = [
-            f"baseline {self.baseline_sha[:12]} -> "
-            f"current {self.current_sha[:12]} "
-            f"(fingerprints {'match' if self.fingerprint_match else 'DIFFER'})",
-            f"{'benchmark':<24} {'baseline':>10} {'current':>10} "
-            f"{'delta':>9} {'band':>9}  verdict",
-        ]
-        for d in self.deltas:
-            if d.regressed:
-                verdict = "REGRESSED"
-                if d.phase:
-                    verdict += f" ({d.phase} +{d.phase_delta_s:.3f}s)"
-            elif d.improved:
-                verdict = "improved"
-            else:
-                verdict = "ok"
-            lines.append(
-                f"{d.name:<24} {d.baseline_s:>9.3f}s {d.current_s:>9.3f}s "
-                f"{d.delta_s:>+8.3f}s {d.band_s:>8.3f}s  {verdict}"
-            )
-        for name in self.only_in_baseline:
-            lines.append(f"{name:<24} missing from the current run")
-        for name in self.only_in_current:
-            lines.append(f"{name:<24} not in the baseline (new benchmark)")
-        return "\n".join(lines)
-
-
-def noise_band_s(
-    baseline_median: float,
-    baseline_mad: float,
-    current_mad: float,
-    k_sigma: float = 3.0,
-    rel_tol: float = 0.10,
-    abs_floor_s: float = 1e-3,
-) -> float:
-    """The slowdown a comparison tolerates before it is a regression.
-
-    The statistical term converts the worse of the two MADs to a sigma
-    estimate and takes ``k_sigma`` of it; the relative and absolute
-    floors keep sub-millisecond benchmarks and very quiet machines from
-    flagging timer jitter.
-    """
-    sigma = MAD_TO_SIGMA * max(baseline_mad, current_mad)
-    return max(k_sigma * sigma, rel_tol * baseline_median, abs_floor_s)
-
-
-def _worst_phase(
-    base_phases: dict, cur_phases: dict, k_sigma: float, rel_tol: float
-) -> Tuple[Optional[str], float]:
-    """The phase whose median slowed the most beyond its own band."""
-    worst: Optional[str] = None
-    worst_delta = 0.0
-    for phase in PHASES:
-        base = base_phases.get(phase)
-        cur = cur_phases.get(phase)
-        if base is None and cur is None:
-            continue
-        base_median = base["median"] if base else 0.0
-        base_mad = base["mad"] if base else 0.0
-        cur_median = cur["median"] if cur else 0.0
-        cur_mad = cur["mad"] if cur else 0.0
-        delta = cur_median - base_median
-        band = noise_band_s(
-            base_median, base_mad, cur_mad,
-            k_sigma=k_sigma, rel_tol=rel_tol, abs_floor_s=5e-4,
-        )
-        if delta > band and delta > worst_delta:
-            worst, worst_delta = phase, delta
-    return worst, worst_delta
-
-
-def compare_docs(
-    baseline: dict,
-    current: dict,
-    k_sigma: float = 3.0,
-    rel_tol: float = 0.10,
-    abs_floor_s: float = 1e-3,
-) -> CompareReport:
-    """Compare a fresh run against a baseline inside the noise band.
-
-    A benchmark regresses when its median slows by more than
-    :func:`noise_band_s`; the report attributes each regression to the
-    worst-offending phase.  Both documents are schema-checked first.
-    A ``fingerprint_match`` of False (different machine, backend, or
-    worker count) means the comparison is advisory — the caller
-    decides whether to enforce it.
-    """
-    validate_bench(baseline)
-    validate_bench(current)
-    base_by_name = {b["name"]: b for b in baseline["benchmarks"]}
-    cur_by_name = {b["name"]: b for b in current["benchmarks"]}
-    deltas: List[BenchDelta] = []
-    for name, cur in cur_by_name.items():
-        base = base_by_name.get(name)
-        if base is None:
-            continue
-        base_stats, cur_stats = base["wall_s"], cur["wall_s"]
-        band = noise_band_s(
-            base_stats["median"], base_stats["mad"], cur_stats["mad"],
-            k_sigma=k_sigma, rel_tol=rel_tol, abs_floor_s=abs_floor_s,
-        )
-        delta = cur_stats["median"] - base_stats["median"]
-        regressed = delta > band
-        phase: Optional[str] = None
-        phase_delta = 0.0
-        if regressed:
-            phase, phase_delta = _worst_phase(
-                base["phases"], cur["phases"], k_sigma, rel_tol
-            )
-        deltas.append(
-            BenchDelta(
-                name=name,
-                baseline_s=base_stats["median"],
-                current_s=cur_stats["median"],
-                band_s=band,
-                regressed=regressed,
-                improved=delta < -band,
-                phase=phase,
-                phase_delta_s=phase_delta,
-            )
-        )
-    return CompareReport(
-        deltas=deltas,
-        fingerprint_match=(
-            baseline["environment"]["noise_key"]
-            == current["environment"]["noise_key"]
-        ),
-        baseline_sha=baseline["environment"]["git_sha"],
-        current_sha=current["environment"]["git_sha"],
-        k_sigma=k_sigma,
-        rel_tol=rel_tol,
-        only_in_baseline=sorted(set(base_by_name) - set(cur_by_name)),
-        only_in_current=sorted(set(cur_by_name) - set(base_by_name)),
-    )

@@ -21,7 +21,7 @@ Two document kinds share one schema:
   above that can be computed without the graph or the plans.
 
 Both validate through :func:`validate_diff` and render through
-:func:`render_diff_html` in the ``explain``/``bench_html`` house style.
+:func:`render_diff_html` in the house page shell (:mod:`repro.obs.pages`).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import json
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.decisions import DecisionLedger
+from repro.obs.pages import page
 
 #: Version stamp of the diff JSON document.
 DIFF_SCHEMA_VERSION = 1
@@ -380,14 +381,7 @@ def format_divergence(payload: Dict) -> str:
     )
 
 
-_HTML_STYLE = """
-body { font: 14px/1.45 system-ui, sans-serif; margin: 2em auto;
-       max-width: 70em; color: #222; }
-h1 { font-size: 1.4em; } h2 { font-size: 1.1em; margin-top: 2em; }
-table { border-collapse: collapse; width: 100%; margin: 0.75em 0; }
-th, td { border: 1px solid #ccc; padding: 0.3em 0.6em; text-align: right; }
-th { background: #f2f2f2; } td.name, th.name { text-align: left; }
-.neg { color: #b00; } .ok { color: #080; } .summary { color: #444; }
+_DIFF_STYLE = """
 .diverge { background: #fff3e0; }
 """
 
@@ -415,9 +409,6 @@ def render_diff_html(payload: Dict) -> str:
     )
     ledger = payload["ledger"]
     parts = [
-        "<!DOCTYPE html><html><head><meta charset='utf-8'>",
-        f"<title>ktiler diff — {label_a} vs {label_b}</title>",
-        f"<style>{_HTML_STYLE}</style></head><body>",
         f"<h1>ktiler diff — <code>{label_a}</code> vs "
         f"<code>{label_b}</code>: {verdict}</h1>",
         "<p class='summary'>"
@@ -498,8 +489,11 @@ def render_diff_html(payload: Dict) -> str:
                 f"<td>{change['delta_us']}</td></tr>"
             )
         parts.append("</table>")
-    parts.append("</body></html>")
-    return "".join(parts)
+    return page(
+        f"ktiler diff — {payload['label_a']} vs {payload['label_b']}",
+        "".join(parts),
+        css=_DIFF_STYLE,
+    )
 
 
 def write_diff(

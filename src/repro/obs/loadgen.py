@@ -3,9 +3,7 @@
 N client threads each issue a fixed number of back-to-back ``/v1/plan``
 requests against a daemon (an externally running one, or an in-process
 server booted for the run) and the per-request latencies roll up into a
-schema-valid bench document — the same shape ``ktiler bench run``
-emits, so `validate_bench`, the history file, and the regression
-detector all apply unchanged.
+schema-valid bench document (:func:`repro.obs.bench.validate_bench`).
 
 Determinism: the *request schedule* — which fingerprint variant each
 client hits on each iteration — is a pure function of ``(clients,
@@ -19,8 +17,8 @@ Two benchmark rows per run:
 * ``serve.<preset>.latency`` — every timed request's wall latency, the
   row to eyeball for p50-level shifts;
 * ``serve.<preset>.p99`` — each client's own p99 as one sample, so a
-  tail-latency step moves this row's *median* and trips
-  :func:`repro.obs.bench.compare_docs` even when medians are steady.
+  tail-latency step moves this row's *median* even when the latency
+  row's median is steady.
 
 Warm vs cold: each distinct fingerprint is planned once (serially,
 untimed) before the clock starts, so the timed phase measures the
@@ -188,7 +186,8 @@ def build_loadgen_doc(
             "scale": "loadgen",
         },
         "benchmarks": benchmarks,
-        # Extra context validate_bench ignores by design.
+        # Loadgen context; validate_bench checks its outcomes and
+        # histograms.
         "loadgen": {
             "preset": preset,
             "clients": clients,

@@ -320,7 +320,7 @@ def render_statusz(status: Dict[str, Any]) -> str:
     ``status`` is the dict built by ``PlanService.status_snapshot()``;
     rendering is read-only and must never raise on missing keys.
     """
-    from repro.obs.bench_html import _HTML_STYLE  # shared look, lazy import
+    from repro.obs.pages import page  # shared look, lazy import
 
     counters = status.get("counters", {})
     summary = _kv_block(
@@ -356,15 +356,7 @@ def render_statusz(status: Dict[str, Any]) -> str:
             + (f"<p class='note'>{html.escape(q_text)}</p>" if q_text else "")
         )
     tracez = status.get("tracez") or {}
-    return f"""<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<title>ktiler statusz</title>
-<style>{_HTML_STYLE}{_STATUSZ_STYLE}</style>
-</head>
-<body>
-<h1>ktiler statusz</h1>
+    body = f"""<h1>ktiler statusz</h1>
 <p class="note">live ops snapshot; request-scoped telemetry at
 <code>/debug/tracez</code>, counters at <code>/debug/vars</code>,
 Prometheus at <code>/metrics</code>.</p>
@@ -377,6 +369,5 @@ Prometheus at <code>/metrics</code>.</p>
 {_exemplar_rows(tracez.get("errors") or [])}
 <h2>Slow requests (&ge; {_fmt(tracez.get("slow_ms", SLOW_REQUEST_MS))} ms)</h2>
 {_exemplar_rows(tracez.get("slow") or [])}
-</body>
-</html>
 """
+    return page("ktiler statusz", body, css=_STATUSZ_STYLE)

@@ -1,7 +1,7 @@
 """Planner observatory: profiling hooks and scalability probes.
 
-The bench harness (:mod:`repro.obs.bench`) answers "did the planner
-slow down"; this module answers "*why* is it slow and *how does its
+The repository benchmark (``bench/``) answers "did the program slow
+down"; this module answers "*why* is the planner slow and *how does its
 cost scale*".  Three instruments, all opt-in and fully off the default
 path:
 
@@ -35,8 +35,8 @@ path:
   baseline; CI surfaces it as an advisory, because an exponent is a
   property of the *algorithm*, not the machine.
 
-Surfaced as ``ktiler profile`` (see :mod:`repro.cli`); the scaling
-dashboard section renders via :func:`repro.obs.bench_html.render_profile_html`.
+Surfaced as ``ktiler profile`` (see :mod:`repro.cli`); the dashboard
+renders via :func:`repro.obs.pages.render_profile_html`.
 """
 
 from __future__ import annotations
@@ -484,11 +484,11 @@ def run_sweep(
     """Plan a :func:`build_probe_graph` size ladder; fit scaling exponents.
 
     Each ladder point runs the *full* pipeline (fresh KTiler per
-    repeat, fresh Tracer — the bench harness discipline) so the
-    per-phase exponents cover trace analysis and profiling too, not
-    just Algorithm 1/2.  Returns the sweep section of a profile
-    document: per-point stats plus fitted exponents for wall time,
-    every active phase, and every active work counter.
+    repeat, fresh Tracer — the :func:`~repro.obs.bench.run_benchmark`
+    discipline) so the per-phase exponents cover trace analysis and
+    profiling too, not just Algorithm 1/2.  Returns the sweep section
+    of a profile document: per-point stats plus fitted exponents for
+    wall time, every active phase, and every active work counter.
     """
     from repro.apps.synthetic import build_probe_graph
     from repro.core import KTiler, KTilerConfig

@@ -89,7 +89,6 @@ METRIC_HELP: Dict[str, str] = {
     "serve.memo_hits": "requests answered from the in-process memo",
     "serve.coalesced": "requests that joined an in-flight planning job",
     "serve.errors": "requests rejected with a structured error, by code",
-    "serve.latency_ms": "summed request wall milliseconds, by endpoint",
     "serve.latency": (
         "request latency seconds, by endpoint and outcome"
     ),
@@ -106,7 +105,6 @@ _HELP_PREFIXES = (
     ("store.", "artifact-store access counter"),
     ("audit.miss.", "attributed L2 misses by class"),
     ("l2_buffers.", "per-buffer L2 line occupancy track"),
-    ("bench.", "benchmark harness measurement"),
 )
 
 

@@ -177,9 +177,6 @@ class PlanService:
         with self._lock:
             self.tracer.metrics.inc(f"serve.{name}", value, **labels)
 
-    def _observe_latency(self, endpoint: str, elapsed_s: float) -> None:
-        self._count("latency_ms", elapsed_s * 1000.0, endpoint=endpoint)
-
     # -- front memo --------------------------------------------------
 
     def _fingerprint(self, request: PlanRequest) -> str:
@@ -352,7 +349,6 @@ class PlanService:
                 raise
             elapsed_ms = round((self._monotonic() - t0) * 1000.0, 3)
             self._count("requests", endpoint=endpoint, status="200")
-            self._observe_latency(endpoint, elapsed_ms / 1000.0)
             self._finish_request(
                 ctx,
                 outcome=_OUTCOME_BY_SERVED.get(served, "ok"),

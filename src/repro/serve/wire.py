@@ -9,7 +9,8 @@ HTTP API and keeps the service itself free of parsing concerns:
 * the app-preset registry (the ``ktiler explain`` presets plus the
   ``chain``/``fan``/``grid`` scalability probes) with per-preset
   parameter whitelists and bounds, so a request can never build an
-  unbounded graph;
+  unbounded graph; the CLI builds its apps from the same registry
+  (:func:`build_preset_app`);
 * request *fingerprints* — exactly the plan artifact-store key
   (:func:`repro.store.plan_key` hashed with the store's content key),
   so a daemon's dedup map, its artifact store, and offline CLI runs
@@ -132,9 +133,7 @@ def _build_preset(preset: str, params: Dict[str, Any]):
     return _probe_builder(preset)(params)
 
 
-#: preset -> {param: (default, lo, hi)}.  Matches ``_build_explain_app``
-#: defaults in the CLI so ``{"preset": "fig5"}`` plans the same graph
-#: ``ktiler explain fig5`` audits.
+#: preset -> {param: (default, lo, hi)}.
 SERVE_PRESETS: Dict[str, Dict[str, Tuple[int, int, int]]] = {
     "demo": {"size": (128, 8, 2048)},
     "pipeline": {"size": (256, 8, 2048)},
@@ -162,6 +161,14 @@ SERVE_PRESETS: Dict[str, Dict[str, Tuple[int, int, int]]] = {
         "seed": (0, 0, 2**31 - 1),
     },
 }
+
+
+def build_preset_app(preset: str, **params: int):
+    """The preset's application at its registry defaults; each entry of
+    ``params`` overrides one default, without the wire's bounds check."""
+    defaults = {key: spec[0] for key, spec in SERVE_PRESETS[preset].items()}
+    return _build_preset(preset, {**defaults, **params})
+
 
 #: GpuSpec preset names accepted as ``gpu.base``.
 GPU_BASES: Tuple[str, ...] = ("scaled", "paper", "embedded", "desktop")

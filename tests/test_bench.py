@@ -1,4 +1,4 @@
-"""Tests for the statistical benchmark harness (``repro.obs.bench``).
+"""Tests for the benchmark statistics (``repro.obs.bench``).
 
 Four attack surfaces, mirroring the house style of the neighboring
 suites:
@@ -12,9 +12,8 @@ suites:
 * **fingerprint key sensitivity** — every noise-key field must change
   the key, re-describing the identical environment must not, and the
   git sha must NOT be part of it (``test_store`` style);
-* **the regression detector** — hypothesis properties: no false
-  positives on stationary synthetic histories, injected step
-  regressions always caught and attributed to the stepped phase.
+* **the document schema** — :func:`validate_bench` accepts a valid
+  bench-run document and names the first violation of a broken one.
 """
 
 from __future__ import annotations
@@ -27,28 +26,19 @@ from hypothesis import strategies as st
 
 from repro.obs.bench import (
     BENCH_SCHEMA_VERSION,
-    BENCH_SUITE,
-    MAD_TO_SIGMA,
     NOISE_KEY_FIELDS,
-    PHASES,
     SampleStats,
-    append_history,
     bootstrap_ci,
-    compare_docs,
     environment_fingerprint,
     fingerprint_noise_key,
-    load_history,
     mad,
     median,
-    noise_band_s,
     outlier_indices,
     phase_breakdown,
     run_benchmark,
-    run_suite,
     span_phase,
     validate_bench,
 )
-from repro.obs.bench_html import render_bench_html, write_bench
 from repro.obs.tracer import Tracer
 
 
@@ -314,32 +304,8 @@ class TestRunBenchmark:
         assert result.as_dict()["work"] == result.work
 
 
-class TestRunSuite:
-    def test_quick_subset_validates(self):
-        doc = run_suite(
-            names=["replay.raw"], scale="quick", repeats=2, warmup=0
-        )
-        assert validate_bench(doc) is doc
-        assert doc["schema_version"] == BENCH_SCHEMA_VERSION
-        (bench,) = doc["benchmarks"]
-        assert bench["name"] == "replay.raw"
-        assert bench["phases"]["replay"]["median"] > 0.0
-
-    def test_unknown_benchmark_and_scale_rejected(self):
-        with pytest.raises(ValueError, match="unknown benchmarks"):
-            run_suite(names=["no.such"], scale="quick")
-        with pytest.raises(ValueError, match="unknown scale"):
-            run_suite(scale="galactic")
-
-    def test_registered_suite_covers_the_pipeline(self):
-        assert set(BENCH_SUITE) == {
-            "pipeline.plan", "hsopticalflow.plan", "pipeline.compare",
-            "replay.raw",
-        }
-
-
 # ----------------------------------------------------------------------
-# Synthetic documents for detector/history tests
+# Synthetic documents for the schema tests
 # ----------------------------------------------------------------------
 _ENV = environment_fingerprint()
 
@@ -418,216 +384,3 @@ class TestValidateBench:
         doc["benchmarks"][0]["repeats"] = 5
         with pytest.raises(ValueError, match="sample count"):
             validate_bench(doc)
-
-
-class TestHistory:
-    def test_round_trip_appends(self, tmp_path):
-        path = str(tmp_path / "hist.jsonl")
-        a = _doc({"a": ([0.1, 0.2, 0.3], {})})
-        b = _doc({"a": ([0.2, 0.3, 0.4], {})})
-        append_history(path, a)
-        append_history(path, b)
-        runs = load_history(path)
-        assert len(runs) == 2
-        assert runs[0]["benchmarks"][0]["wall_s"]["median"] == 0.2
-
-    def test_corrupt_lines_are_skipped(self, tmp_path):
-        path = tmp_path / "hist.jsonl"
-        append_history(str(path), _doc({"a": ([0.1, 0.2, 0.3], {})}))
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write("{torn json\n")
-            fh.write('{"kind": "foreign"}\n')
-            fh.write("\n")
-        append_history(str(path), _doc({"a": ([0.1, 0.2, 0.3], {})}))
-        assert len(load_history(str(path))) == 2
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert load_history(str(tmp_path / "absent.jsonl")) == []
-
-
-# ----------------------------------------------------------------------
-# The regression detector
-# ----------------------------------------------------------------------
-class TestRegressionDetector:
-    def test_identical_docs_are_clean(self):
-        doc = _doc({"a": ([0.1, 0.11, 0.12], {"replay": (0.1, 0.005)})})
-        report = compare_docs(doc, doc)
-        assert report.ok and report.fingerprint_match
-        (delta,) = report.deltas
-        assert not delta.regressed and not delta.improved
-
-    def test_step_regression_is_caught_and_attributed(self):
-        base = _doc({
-            "a": (
-                [0.100, 0.102, 0.101],
-                {"profile": (0.06, 0.001), "replay": (0.04, 0.001)},
-            ),
-        })
-        cur = _doc({
-            "a": (
-                [0.200, 0.202, 0.201],
-                {"profile": (0.16, 0.001), "replay": (0.04, 0.001)},
-            ),
-        })
-        report = compare_docs(base, cur)
-        assert not report.ok
-        (delta,) = report.regressions
-        assert delta.name == "a"
-        assert delta.phase == "profile"
-        assert delta.phase_delta_s == pytest.approx(0.10, abs=1e-6)
-        assert "REGRESSED" in report.format_table()
-        assert "profile" in report.format_table()
-
-    def test_improvement_is_not_a_regression(self):
-        base = _doc({"a": ([0.2, 0.21, 0.2], {})})
-        cur = _doc({"a": ([0.1, 0.11, 0.1], {})})
-        report = compare_docs(base, cur)
-        assert report.ok
-        assert report.deltas[0].improved
-
-    def test_fingerprint_mismatch_is_reported(self):
-        other_env = dict(_ENV, workers=_ENV["workers"] + 7)
-        other_env["noise_key"] = fingerprint_noise_key(other_env)
-        base = _doc({"a": ([0.1, 0.1, 0.1], {})})
-        cur = _doc({"a": ([0.1, 0.1, 0.1], {})}, env=other_env)
-        assert not compare_docs(base, cur).fingerprint_match
-
-    def test_disjoint_benchmarks_are_listed_not_compared(self):
-        base = _doc({"a": ([0.1, 0.1, 0.1], {})})
-        cur = _doc({"b": ([0.1, 0.1, 0.1], {})})
-        report = compare_docs(base, cur)
-        assert report.ok
-        assert report.only_in_baseline == ["a"]
-        assert report.only_in_current == ["b"]
-
-    def test_band_floors(self):
-        # Tight MADs: the relative floor dominates.
-        assert noise_band_s(1.0, 0.0, 0.0, rel_tol=0.05) == pytest.approx(0.05)
-        # Tiny benchmark: the absolute floor dominates.
-        assert noise_band_s(0.001, 0.0, 0.0) == pytest.approx(1e-3)
-        # Noisy either side: the worse MAD drives the band.
-        assert noise_band_s(1.0, 0.01, 0.09, k_sigma=3.0) == pytest.approx(
-            3.0 * MAD_TO_SIGMA * 0.09
-        )
-
-    @given(
-        st.lists(
-            st.floats(min_value=0.05, max_value=2.0), min_size=3, max_size=9
-        ),
-        st.randoms(use_true_random=False),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_no_false_positives_on_stationary_histories(self, xs, rnd):
-        """Re-measuring the same distribution never trips the detector.
-
-        The current run is a reshuffle of the baseline's own samples
-        with sub-band multiplicative jitter — exactly what re-running
-        an unchanged benchmark on the same machine produces.
-        """
-        ys = [x * (1.0 + rnd.uniform(-0.01, 0.01)) for x in xs]
-        rnd.shuffle(ys)
-        base = _doc({"a": (xs, {})})
-        cur = _doc({"a": (ys, {})})
-        assert compare_docs(base, cur, rel_tol=0.05).ok
-
-    @given(
-        st.lists(
-            st.floats(min_value=0.05, max_value=2.0), min_size=3, max_size=9
-        ),
-        st.floats(min_value=1.2, max_value=5.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_injected_steps_are_always_caught(self, xs, factor):
-        """A step beyond the noise band must always regress.
-
-        The step is constructed from the detector's own band (times a
-        >1 factor), so the property holds for any sample shape: an
-        adaptive detector that widened its band to excuse the step
-        would fail here.
-        """
-        base_stats = SampleStats.from_samples(xs)
-        band = noise_band_s(base_stats.median, base_stats.mad, base_stats.mad)
-        step = band * factor
-        base = _doc({"a": (xs, {})})
-        cur = _doc({"a": ([x + step for x in xs], {})})
-        report = compare_docs(base, cur)
-        assert not report.ok
-        assert report.regressions[0].name == "a"
-
-
-# ----------------------------------------------------------------------
-# Dashboard
-# ----------------------------------------------------------------------
-class TestDashboard:
-    def test_render_requires_a_valid_doc(self):
-        with pytest.raises(ValueError):
-            render_bench_html({"kind": "bench-run"})
-
-    def test_render_basic_structure(self):
-        doc = _doc({
-            "a": ([0.1, 0.11, 0.12], {"replay": (0.08, 0.002)}),
-        })
-        html_text = render_bench_html(doc)
-        assert "ktiler bench dashboard" in html_text
-        assert "phasebar" in html_text
-        assert "replay" in html_text
-        assert "<script" not in html_text  # self-contained, no JS
-
-    def test_history_draws_a_sparkline(self):
-        older = _doc({"a": ([0.1, 0.1, 0.1], {})})
-        doc = _doc({"a": ([0.11, 0.11, 0.11], {})})
-        assert "<svg" in render_bench_html(doc, history=[older])
-        assert "<svg" not in render_bench_html(doc, history=[])
-
-    def test_foreign_fingerprint_history_is_excluded(self):
-        other_env = dict(_ENV, workers=_ENV["workers"] + 3)
-        other_env["noise_key"] = fingerprint_noise_key(other_env)
-        foreign = _doc({"a": ([0.1, 0.1, 0.1], {})}, env=other_env)
-        doc = _doc({"a": ([0.11, 0.11, 0.11], {})})
-        assert "<svg" not in render_bench_html(doc, history=[foreign])
-
-    def test_regression_callout_names_the_phase(self):
-        base = _doc({
-            "a": (
-                [0.100, 0.102, 0.101],
-                {"profile": (0.06, 0.001)},
-            ),
-        })
-        cur = _doc({
-            "a": (
-                [0.300, 0.302, 0.301],
-                {"profile": (0.26, 0.001)},
-            ),
-        })
-        report = compare_docs(base, cur)
-        html_text = render_bench_html(cur, compare=report)
-        assert "REGRESSED" in html_text
-        assert "profile" in html_text
-        assert "callout" in html_text
-
-    def test_work_digest_rendered_when_present(self):
-        doc = _doc({"a": ([0.1, 0.11, 0.12], {})})
-        doc["benchmarks"][0]["work"] = {"merge_probes": 55, "weight_evals": 7}
-        html_text = render_bench_html(doc)
-        assert "planner work:" in html_text
-        assert "merge_probes 55" in html_text
-        assert "planner work:" not in render_bench_html(
-            _doc({"a": ([0.1, 0.11, 0.12], {})})
-        )
-
-    def test_write_bench_emits_everything(self, tmp_path):
-        doc = _doc({"a": ([0.1, 0.11, 0.12], {})})
-        json_path = str(tmp_path / "bench.json")
-        html_path = str(tmp_path / "bench.html")
-        hist_path = str(tmp_path / "hist.jsonl")
-        written = write_bench(
-            doc, json_path=json_path, html_path=html_path,
-            history_path=hist_path,
-        )
-        assert written == [json_path, html_path, hist_path]
-        assert validate_bench(json.load(open(json_path)))
-        assert len(load_history(hist_path)) == 1
-        # Second write: the dashboard now has a one-point history, and
-        # the history gains a second line.
-        write_bench(doc, html_path=html_path, history_path=hist_path)
-        assert len(load_history(hist_path)) == 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import PROFILE_PRESETS, build_parser, main
 
 
 class TestParser:
@@ -41,29 +41,6 @@ class TestParser:
     def test_explain_preset_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["explain", "--preset", "nope"])
-
-    def test_bench_subcommands_registered(self):
-        parser = build_parser()
-        args = parser.parse_args(["bench", "run", "--scale", "quick"])
-        assert args.command == "bench" and args.bench_command == "run"
-        args = parser.parse_args(["bench", "compare", "base.json", "cur.json"])
-        assert args.bench_command == "compare"
-        args = parser.parse_args(["bench", "report"])
-        assert args.bench_command == "report"
-
-    def test_bench_requires_a_subcommand(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench"])
-
-    def test_bench_scale_validated(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "run", "--scale", "galactic"])
-
-    def test_bench_compare_knobs(self):
-        args = build_parser().parse_args([
-            "bench", "run", "--k-sigma", "4.5", "--rel-tol", "0.1", "--strict",
-        ])
-        assert args.k_sigma == 4.5 and args.rel_tol == 0.1 and args.strict
 
     def test_serve_registered_with_defaults(self):
         args = build_parser().parse_args(["serve"])
@@ -106,6 +83,24 @@ class TestParser:
         assert args.distinct == 1 and args.seed == 0
         with pytest.raises(SystemExit):
             build_parser().parse_args(["loadgen", "--preset", "nope"])
+
+
+class TestPresetRegistry:
+    """explain, diff and profile build their apps from the daemon's
+    preset registry, so a CLI run and a default wire request plan the
+    same graph."""
+
+    @pytest.mark.parametrize("preset", PROFILE_PRESETS)
+    def test_cli_graph_matches_the_wire_default(self, preset):
+        from repro.cli import _preset_app
+        from repro.serve.wire import parse_plan_request
+        from repro.store.fingerprint import graph_fingerprint
+
+        args = build_parser().parse_args(["profile", "--preset", preset])
+        wire = parse_plan_request({"app": {"preset": preset}})
+        assert graph_fingerprint(_preset_app(args).graph) == (
+            graph_fingerprint(wire.graph)
+        )
 
 
 class TestClientRequestBody:
@@ -258,123 +253,3 @@ class TestExecution:
         captured = capsys.readouterr()
         assert "predicted" in captured.out and "actual" in captured.out
         assert "run summary:" in captured.err
-
-
-class TestBenchExecution:
-    """`ktiler bench` end to end at quick scale (sub-second workloads)."""
-
-    RUN = [
-        "bench", "run", "--scale", "quick", "--repeats", "2", "--warmup", "0",
-        "--benchmarks", "replay.raw",
-    ]
-
-    def test_run_writes_validated_json_html_history(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        import json
-
-        from repro.obs.bench import load_history, validate_bench
-
-        monkeypatch.chdir(tmp_path)
-        code = main(self.RUN + ["--history", "hist.jsonl"])
-        assert code == 0
-        doc = validate_bench(json.loads((tmp_path / "bench.json").read_text()))
-        assert doc["benchmarks"][0]["name"] == "replay.raw"
-        assert "ktiler bench dashboard" in (tmp_path / "bench.html").read_text()
-        assert len(load_history(str(tmp_path / "hist.jsonl"))) == 1
-        assert "replay.raw" in capsys.readouterr().err
-
-    def test_clean_rerun_compares_at_zero(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(self.RUN + ["--json", "base.json"]) == 0
-        code = main(self.RUN + ["--json", "cur.json", "--compare", "base.json"])
-        assert code == 0, capsys.readouterr().err
-        assert main(["bench", "compare", "base.json", "cur.json"]) == 0
-        assert "ok" in capsys.readouterr().out
-
-    def test_injected_regression_exits_nonzero_and_names_the_phase(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        import json
-
-        monkeypatch.chdir(tmp_path)
-        assert main(self.RUN + ["--json", "base.json"]) == 0
-        doc = json.loads((tmp_path / "base.json").read_text())
-        bench = doc["benchmarks"][0]
-        wall = bench["wall_s"]
-        wall["samples"] = [s + 0.25 for s in wall["samples"]]
-        for key in ("median", "mean", "min", "max"):
-            wall[key] += 0.25
-        wall["ci95"] = [wall["ci95"][0] + 0.25, wall["ci95"][1] + 0.25]
-        bench["phases"]["replay"]["median"] += 0.25
-        (tmp_path / "regressed.json").write_text(json.dumps(doc))
-
-        code = main(["bench", "compare", "base.json", "regressed.json"])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert "REGRESSED" in captured.out
-        assert "replay" in captured.err  # the slowed phase is named
-
-        # The regression report JSON round-trips.
-        assert main([
-            "bench", "compare", "base.json", "regressed.json",
-            "--json", "cmp.json",
-        ]) == 2
-        report = json.loads((tmp_path / "cmp.json").read_text())
-        assert report["ok"] is False
-        assert report["deltas"][0]["phase"] == "replay"
-
-    def test_fingerprint_mismatch_is_advisory_unless_strict(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        import json
-
-        from repro.obs.bench import fingerprint_noise_key
-
-        monkeypatch.chdir(tmp_path)
-        assert main(self.RUN + ["--json", "base.json"]) == 0
-        doc = json.loads((tmp_path / "base.json").read_text())
-        env = doc["environment"]
-        env["workers"] = env["workers"] + 9
-        env["noise_key"] = fingerprint_noise_key(env)
-        bench = doc["benchmarks"][0]
-        wall = bench["wall_s"]
-        wall["samples"] = [s + 0.25 for s in wall["samples"]]
-        for key in ("median", "mean", "min", "max"):
-            wall[key] += 0.25
-        wall["ci95"] = [wall["ci95"][0] + 0.25, wall["ci95"][1] + 0.25]
-        (tmp_path / "foreign.json").write_text(json.dumps(doc))
-
-        assert main(["bench", "compare", "base.json", "foreign.json"]) == 0
-        assert "advisory" in capsys.readouterr().err
-        assert main([
-            "bench", "compare", "base.json", "foreign.json", "--strict",
-        ]) == 2
-
-    def test_update_baseline_writes_a_loadable_doc(
-        self, tmp_path, monkeypatch
-    ):
-        import json
-
-        from repro.obs.bench import validate_bench
-
-        monkeypatch.chdir(tmp_path)
-        code = main(self.RUN + ["--update-baseline", "baseline.json"])
-        assert code == 0
-        validate_bench(json.loads((tmp_path / "baseline.json").read_text()))
-
-    def test_report_renders_history(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(self.RUN + ["--history", "hist.jsonl"]) == 0
-        assert main(self.RUN + ["--history", "hist.jsonl"]) == 0
-        assert main([
-            "bench", "report", "--history", "hist.jsonl", "--html", "dash.html",
-        ]) == 0
-        dash = (tmp_path / "dash.html").read_text()
-        assert "<svg" in dash  # two runs -> a real sparkline
-
-    def test_report_on_empty_history_fails_cleanly(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        assert main(["bench", "report", "--history", "absent.jsonl"]) == 1

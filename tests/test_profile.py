@@ -37,7 +37,7 @@ from repro.cli import main
 from repro.core import KTiler, KTilerConfig, PlannerWork, WORK_COUNTER_FAMILIES
 from repro.errors import ConfigurationError
 from repro.gpusim import GpuSpec
-from repro.obs.bench_html import render_profile_html
+from repro.obs.pages import render_profile_html
 from repro.obs.profile import (
     DEFAULT_SWEEP_SIZES,
     PROFILE_SCHEMA_VERSION,

@@ -319,6 +319,7 @@ class TestIntrospection:
         assert "serve_plans" in families
         assert "serve_inflight" in families
         assert "serve_latency" in families
+        assert "serve_latency_ms" not in families
 
     def test_explain_returns_a_valid_audit(self, client):
         from repro.obs.audit import validate_audit

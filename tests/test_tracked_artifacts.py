@@ -22,7 +22,6 @@ ROOT = Path(__file__).resolve().parent.parent
 #: the suite reads.  Each pattern must match at least one file.
 COMMITTED_ARTIFACTS = (
     "tests/golden/*",
-    "benchmarks/baseline.json",
     "benchmarks/sweep_baseline.json",
     "benchmarks/BENCH_serve.json",
 )
