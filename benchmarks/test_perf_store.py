@@ -1,0 +1,102 @@
+"""PERF GUARD: the artifact cache must actually pay off.
+
+Run the scaled fig5 cold (fresh store per repeat) and warm (one
+pre-populated store) and compare the medians, with the statistical
+harness (``repro.obs.bench.run_benchmark``: repeats + median, so one
+scheduler hiccup cannot fail the job).  The cold run schedules,
+profiles, and replays from scratch; the warm run serves plans,
+profiles, and replays from disk and skips the whole scheduler.
+Measured ~8-20x on the development machine; floor 3.0x.  Both runs
+(and a store-less baseline) must produce bit-identical reports before
+the clock is read.  Medians land in ``BENCH_perf.json`` and the CI job
+summary.
+
+The whole module carries the ``perf`` marker: tier-1 excludes it by
+marker, the CI bench job opts in with ``-m perf``.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from conftest import update_bench_json
+
+pytestmark = pytest.mark.perf
+
+WARM_FIG5_FLOOR = 3.0
+
+#: Reduced fig5 scale: same code path, ~4x faster cold run so the
+#: benchmark stays CI-friendly. The store serves the same artifacts.
+FIG5_KWARGS = dict(frame_size=128, levels=2, jacobi_iters=10)
+
+
+def _rows(result):
+    return result.report.rows
+
+
+def _stats_payload(result):
+    return {
+        "median_s": round(result.wall.median, 4),
+        "mad_s": round(result.wall.mad, 5),
+        "repeats": result.repeats,
+        "samples_s": [round(s, 4) for s in result.wall.samples],
+    }
+
+
+def test_warm_cache_fig5_speedup(tmp_path):
+    from repro.experiments import run_fig5
+    from repro.obs.bench import run_benchmark
+    from repro.store import ArtifactStore
+
+    baseline = run_fig5(**FIG5_KWARGS)
+
+    # Populate one store for the warm side and assert identity + full
+    # store service before any timing.
+    seed_store = ArtifactStore(tmp_path / "seed")
+    cold_check = run_fig5(store=seed_store, **FIG5_KWARGS)
+    warm_store = ArtifactStore(tmp_path / "seed")
+    warm_check = run_fig5(store=warm_store, **FIG5_KWARGS)
+    assert _rows(cold_check) == _rows(baseline)
+    assert _rows(warm_check) == _rows(baseline)
+    assert warm_store.hits > 0 and warm_store.misses == 0, (
+        "warm run did not serve from the artifact store"
+    )
+
+    # Cold: a fresh store per repeat, so every repeat really is cold.
+    cold_dirs = iter(str(tmp_path / f"cold{i}") for i in range(16))
+
+    cold_res = run_benchmark(
+        "fig5.cold",
+        lambda tracer: run_fig5(
+            store=ArtifactStore(next(cold_dirs)), **FIG5_KWARGS
+        ),
+        repeats=3, warmup=0,
+    )
+    warm_res = run_benchmark(
+        "fig5.warm",
+        lambda tracer: run_fig5(
+            store=ArtifactStore(tmp_path / "seed"), **FIG5_KWARGS
+        ),
+        repeats=3, warmup=1,
+    )
+    ratio = cold_res.wall.median / warm_res.wall.median
+
+    print(
+        f"\nwarm fig5: cold {cold_res.wall.median:.3f}s "
+        f"warm {warm_res.wall.median:.3f}s -> {ratio:.2f}x"
+    )
+    update_bench_json(
+        "BENCH_perf.json",
+        "warm_cache_fig5",
+        {
+            "cold": _stats_payload(cold_res),
+            "warm": _stats_payload(warm_res),
+            "speedup": round(ratio, 2),
+            "warm_hits": warm_store.hits,
+            "floor": WARM_FIG5_FLOOR,
+        },
+    )
+    assert ratio >= WARM_FIG5_FLOOR, (
+        f"warm artifact-cache fig5 only {ratio:.2f}x over cold "
+        f"(floor {WARM_FIG5_FLOOR}x, median of {cold_res.repeats})"
+    )

@@ -55,14 +55,26 @@ from repro.obs import (
     write_chrome_trace,
     write_metrics,
 )
-from repro.parallel import WORKERS_ENV_VAR
 from repro.store import STORE_ENV_VAR, resolve_store
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of the count and size flags: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--l2-kb",
-        type=int,
+        type=_positive_int,
         default=None,
         help="override the simulated L2 size in KiB",
     )
@@ -75,17 +87,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
             "(incremental bitset reachability, bit-identical schedules); "
             f"default from ${PLANNER_BACKEND_ENV_VAR} or the "
             "experiment's own default"
-        ),
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "worker processes for the parallel pipeline stages; results "
-            f"are bit-identical for any count (default ${WORKERS_ENV_VAR} "
-            "or 1 = serial)"
         ),
     )
     parser.add_argument(
@@ -117,7 +118,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_spec(base: GpuSpec, args: argparse.Namespace) -> GpuSpec:
-    if getattr(args, "l2_kb", None):
+    if getattr(args, "l2_kb", None) is not None:
         return spec_with_l2(base, args.l2_kb * 1024)
     return base
 
@@ -129,35 +130,13 @@ def _make_tracer(args: argparse.Namespace):
     return NULL_TRACER
 
 
-def _pool_utilization(tracer) -> tuple:
-    """(busy_s, capacity_s, utilization) of the parallel pool this run.
-
-    Capacity is each ``parallel.map`` span's wall time times its worker
-    count; busy time is the summed task seconds the pool recorded.
-    Serial runs have no spans, so everything reports zero.
-    """
-    busy_s = tracer.metrics.total("parallel.task_seconds")
-    capacity_s = 0.0
-    for ev in tracer.events:
-        if ev.get("name") == "parallel.map" and "dur" in ev:
-            workers = ev.get("args", {}).get("workers") or 1
-            capacity_s += ev["dur"] / 1e6 * workers
-    utilization = busy_s / capacity_s if capacity_s else 0.0
-    return busy_s, capacity_s, utilization
-
-
 def _finish_obs(args: argparse.Namespace, tracer) -> None:
     """Write the requested observability artifacts, if tracing ran."""
     if not tracer.enabled:
         return
-    # End-of-run summary: artifact-store traffic and pool utilization
-    # (collected throughout the run).  The pool gauges are set before
-    # the metrics dump so they appear in --metrics output too.
+    # End-of-run summary of artifact-store traffic (collected
+    # throughout the run).
     m = tracer.metrics
-    busy_s, capacity_s, utilization = _pool_utilization(tracer)
-    m.set_gauge("parallel.pool.busy_seconds", busy_s)
-    m.set_gauge("parallel.pool.capacity_seconds", capacity_s)
-    m.set_gauge("parallel.pool.utilization", utilization)
     # Planner work digest: only present when a traced run planned
     # something (the planner.* families exist only then).
     planner = ""
@@ -170,15 +149,11 @@ def _finish_obs(args: argparse.Namespace, tracer) -> None:
             )
         )
     print(
-        "run summary: store hits={} misses={} writes={} corrupt={} | "
-        "pool busy={:.2f}s capacity={:.2f}s utilization={:.0%}{}".format(
+        "run summary: store hits={} misses={} writes={} corrupt={}{}".format(
             int(m.total("store.hits")),
             int(m.total("store.misses")),
             int(m.total("store.writes")),
             int(m.total("store.corrupt")),
-            busy_s,
-            capacity_s,
-            utilization,
             planner,
         ),
         file=sys.stderr,
@@ -204,10 +179,6 @@ def _finish_obs(args: argparse.Namespace, tracer) -> None:
 
 def _planner_backend(args: argparse.Namespace) -> Optional[str]:
     return getattr(args, "planner_backend", None)
-
-
-def _workers(args: argparse.Namespace) -> Optional[int]:
-    return getattr(args, "workers", None)
 
 
 def _store(args: argparse.Namespace, tracer):
@@ -239,7 +210,6 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
         spec=_resolve_spec(PAPER_SPEC, args),
         with_split_comparison=not args.no_split,
         tracer=tracer,
-        workers=_workers(args),
     )
     print(result.format_table())
     _finish_obs(args, tracer)
@@ -263,7 +233,6 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
         spec=_resolve_spec(SCALED_SPEC, args),
         check_functional=args.check_functional,
         tracer=tracer,
-        workers=_workers(args),
         store=_store(args, tracer),
         planner_backend=_planner_backend(args),
     )
@@ -290,9 +259,7 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
         "gap": gap_sweep,
     }
     result = sweeps[args.knob](
-        workers=_workers(args),
         store=_store(args, tracer),
-        tracer=tracer,
         planner_backend=_planner_backend(args),
     )
     print(result.format_table())
@@ -369,7 +336,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         spec=spec,
         config=KTilerConfig(launch_overhead_us=spec.launch_gap_us),
         tracer=tracer,
-        workers=_workers(args),
         store=_store(args, tracer),
         planner_backend=_planner_backend(args),
     )
@@ -418,7 +384,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         spec=spec,
         config=KTilerConfig(launch_overhead_us=spec.launch_gap_us),
         tracer=tracer,
-        workers=_workers(args),
         store=_store(args, tracer),
         planner_backend=_planner_backend(args),
     )
@@ -472,7 +437,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         spec=spec,
         config=KTilerConfig(launch_overhead_us=spec.launch_gap_us),
         tracer=tracer,
-        workers=_workers(args),
         store=_store(args, tracer),
         planner_backend=_planner_backend(args),
     )
@@ -534,7 +498,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         app,
         spec=spec,
         engine=engine,
-        workers=_workers(args),
         tracer=tracer,
         planner_backend=_planner_backend(args),
     )
@@ -559,7 +522,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             repeats=args.repeats,
             warmup=args.warmup,
             spec=spec,
-            workers=_workers(args),
             seed=args.seed,
             image_size=args.size or 32,
             log=lambda line: print(line, file=sys.stderr),
@@ -577,7 +539,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         app.graph.name if hasattr(app.graph, "name") else args.preset,
         capture=capture,
         sweep=sweep,
-        workers=_workers(args),
         planner_backend=_planner_backend(args),
     )
     written = []
@@ -632,7 +593,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         tracer=tracer,
         store=_store(args, tracer),
         planner_backend=_planner_backend(args),
-        workers=_workers(args),
         timeout_s=args.timeout_s,
         max_body_bytes=args.max_body_kb * 1024,
         planner_threads=args.planner_threads,
@@ -659,7 +619,7 @@ def _client_request_body(args: argparse.Namespace) -> dict:
     gpu: dict = {}
     if args.gpu_base is not None:
         gpu["base"] = args.gpu_base
-    if getattr(args, "l2_kb", None):
+    if getattr(args, "l2_kb", None) is not None:
         gpu["l2_kb"] = args.l2_kb
     if gpu:
         body["gpu"] = gpu
@@ -672,8 +632,6 @@ def _client_request_body(args: argparse.Namespace) -> dict:
         body["freq"] = freq
     if _planner_backend(args) is not None:
         body["planner_backend"] = _planner_backend(args)
-    if _workers(args) is not None:
-        body["workers"] = _workers(args)
     if getattr(args, "measure", False):
         body["measure"] = True
     if args.timeout_s is not None:
@@ -812,7 +770,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         seed=args.seed,
         app_params=app_params or None,
         planner_backend=_planner_backend(args),
-        workers=_workers(args),
         log=lambda message: print(message, file=sys.stderr),
     )
     summary = doc["loadgen"]
@@ -965,7 +922,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=PROFILE_PRESETS, default="demo",
                    help="application to profile (probe shapes honour "
                         "--kernels/--seed)")
-    p.add_argument("--kernels", type=int, default=64, metavar="N",
+    p.add_argument("--kernels", type=_positive_int, default=64, metavar="N",
                    help="probe-graph node count (probe presets only)")
     p.add_argument("--size", type=int, default=None,
                    help="image side for probe graphs (default 32)")
@@ -978,7 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also sweep a probe-size ladder and fit exponents")
     p.add_argument("--sweep-sizes", metavar="A,B,C", default="8,16,32,64",
                    help="comma-separated kernel counts of the sweep ladder")
-    p.add_argument("--repeats", type=int, default=3, metavar="N",
+    p.add_argument("--repeats", type=_positive_int, default=3, metavar="N",
                    help="timed repeats per ladder point")
     p.add_argument("--warmup", type=int, default=1, metavar="K",
                    help="untimed warmup runs per ladder point")
@@ -1019,9 +976,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout-s", type=float, default=300.0, metavar="S",
                    help="per-request planning-wait ceiling (504 after; "
                         "the job continues and a retry is served warm)")
-    p.add_argument("--max-body-kb", type=int, default=1024, metavar="KB",
+    p.add_argument("--max-body-kb", type=_positive_int, default=1024,
+                   metavar="KB",
                    help="largest accepted request body (413 above)")
-    p.add_argument("--planner-threads", type=int, default=4, metavar="N",
+    p.add_argument("--planner-threads", type=_positive_int, default=4,
+                   metavar="N",
                    help="concurrent planning jobs (distinct fingerprints)")
     p.add_argument("--verbose", action="store_true",
                    help="log every HTTP request to stderr")
@@ -1033,7 +992,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slow-ms", type=float, default=250.0, metavar="MS",
                    help="requests at or above this latency land in the "
                         "/debug/tracez slow ring")
-    p.add_argument("--tracez-capacity", type=int, default=64, metavar="N",
+    p.add_argument("--tracez-capacity", type=_positive_int, default=64,
+                   metavar="N",
                    help="exemplars kept per /debug/tracez ring "
                         "(recent/slow/errors)")
     _add_common(p)
@@ -1097,11 +1057,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="daemon base URL (default: boot an in-process "
                         "daemon for the run)")
     p.add_argument("--preset", choices=LOADGEN_PRESETS, default="demo")
-    p.add_argument("--clients", type=int, default=4, metavar="N",
+    p.add_argument("--clients", type=_positive_int, default=4, metavar="N",
                    help="concurrent closed-loop client threads")
-    p.add_argument("--requests", type=int, default=25, metavar="N",
+    p.add_argument("--requests", type=_positive_int, default=25, metavar="N",
                    help="timed requests per client")
-    p.add_argument("--distinct", type=int, default=1, metavar="K",
+    p.add_argument("--distinct", type=_positive_int, default=1, metavar="K",
                    help="distinct request fingerprints to rotate over "
                         "(walks a frequency ladder)")
     p.add_argument("--seed", type=int, default=0,

@@ -21,7 +21,7 @@ combined with ≺C_sch, §IV-C1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.analyzer.footprint import BlockMemoryLines
 from repro.core.cluster import Partition
@@ -37,7 +37,6 @@ from repro.graph.block_graph import BlockDependencyGraph
 from repro.graph.kernel_graph import KernelGraph
 from repro.obs.decisions import DECISION_COUNTER_FAMILIES, DecisionLedger
 from repro.obs.tracer import NULL_TRACER
-from repro.parallel import in_worker, scoped_pool
 
 
 @dataclass
@@ -48,8 +47,8 @@ class TilingStats:
     :mod:`repro.core.work`): edge-weighting work seeded from the
     :class:`~repro.core.weights.EdgeWeights`, merge-validity probes
     from the main loop, and per-cluster Algorithm 2 work charged when a
-    tiling is *consumed* — so the tally is bit-identical across sim
-    backends and worker counts, like the rest of the stats.
+    tiling is *consumed* — so the tally is bit-identical across planner
+    backends, like the rest of the stats.
     """
 
     candidate_edges: int = 0
@@ -70,8 +69,8 @@ class TilingResult:
     :mod:`repro.obs.decisions`): every merge candidate Algorithm 1
     settled and every tiling round Algorithm 2 froze, in consume order.
     It is recorded unconditionally (provenance is part of the plan, not
-    of tracing), bit-identical across planner backends and worker
-    counts, and persisted through plan artifacts.
+    of tracing), bit-identical across planner backends, and persisted
+    through plan artifacts.
     """
 
     schedule: Schedule
@@ -112,7 +111,6 @@ def application_tile(
     include_anti: bool = True,
     max_cluster_nodes: Optional[int] = None,
     tracer=NULL_TRACER,
-    workers: int = 1,
     planner_backend: Optional[str] = None,
 ) -> TilingResult:
     """Algorithm 1.
@@ -166,13 +164,6 @@ def application_tile(
             reason="threshold",
         )
     tiling_memo: Dict[FrozenSet[int], Optional[ClusterTiling]] = {}
-    speculative: Set[FrozenSet[int]] = set()
-    if workers > 1 and not in_worker():
-        _speculate_first_wave(
-            candidates, partition, graph, block_graph, mem_lines,
-            perf_tables, cache_bytes, launch_overhead_us, include_anti,
-            max_cluster_nodes, workers, tiling_memo, speculative, tracer,
-        )
     trace_on = tracer.enabled
 
     index = 0
@@ -253,16 +244,6 @@ def application_tile(
                     tracer=tracer,
                 )
             tiling_memo[merged_nodes] = tiling
-            _charge_work(stats, tiling, ledger, tracer, trace_on)
-        elif merged_nodes in speculative:
-            # First consumption of a speculatively pre-computed tiling:
-            # for the stats this is the evaluation the serial loop
-            # would have performed here, not a memo hit — keeping
-            # TilingStats (work counters included: the cluster's work
-            # travelled back inside the ClusterTiling) bit-identical
-            # across worker counts.
-            speculative.discard(merged_nodes)
-            stats.tilings_evaluated += 1
             _charge_work(stats, tiling, ledger, tracer, trace_on)
         else:
             stats.tiling_cache_hits += 1
@@ -373,13 +354,11 @@ def _charge_work(
 ) -> None:
     """Fold a consumed tiling's work and ledger events into the run.
 
-    Called exactly once per *evaluation* (memo miss or first
-    consumption of a speculative result) — never on memo hits, which
-    mirror the serial loop re-using a tiling it already paid for.
-    Untileable clusters (``None``) charge nothing in both paths.  The
-    tiling's ``tile_round`` ledger events are appended here, at the
-    same consume-time site as the work counters, which is what makes
-    the run ledger bit-identical across worker counts.
+    Called exactly once per *evaluation* (memo miss) — never on memo
+    hits, which re-use a tiling the run already paid for.  Untileable
+    clusters (``None``) charge nothing.  The tiling's ``tile_round``
+    ledger events are appended here, at the same consume-time site as
+    the work counters, so ledger and work tally follow one order.
 
     With tracing on, each charge also appends one sample to the
     cumulative ``planner.work`` counter track.  The timestamp is the
@@ -411,92 +390,3 @@ class _Missing:
 
 _MISSING = _Missing()
 
-
-# ----------------------------------------------------------------------
-# Speculative parallel cluster tiling
-# ----------------------------------------------------------------------
-#: Worker-process copy of the shared tiling inputs, shipped once per
-#: worker through the pool initializer (see :func:`_speculate_init`).
-_SPEC_STATE = None
-
-
-def _speculate_init(state) -> None:
-    global _SPEC_STATE
-    _SPEC_STATE = state
-
-
-def _speculate_task(pair) -> Optional[ClusterTiling]:
-    (graph, block_graph, mem_lines, perf_tables, cache_bytes,
-     launch_overhead_us, include_anti) = _SPEC_STATE
-    return cluster_tile(
-        frozenset(pair),
-        graph,
-        block_graph,
-        mem_lines,
-        perf_tables,
-        cache_bytes,
-        launch_overhead_us=launch_overhead_us,
-        include_anti=include_anti,
-    )
-
-
-def _speculate_first_wave(
-    candidates,
-    partition: Partition,
-    graph: KernelGraph,
-    block_graph: BlockDependencyGraph,
-    mem_lines: BlockMemoryLines,
-    perf_tables,
-    cache_bytes: int,
-    launch_overhead_us: float,
-    include_anti: bool,
-    max_cluster_nodes: Optional[int],
-    workers: int,
-    tiling_memo: Dict[FrozenSet[int], Optional[ClusterTiling]],
-    speculative: Set[FrozenSet[int]],
-    tracer,
-) -> None:
-    """Pre-tile the first wave of singleton-pair merges in parallel.
-
-    Before any merge is adopted every cluster is a singleton, so the
-    highest-weight candidate edges will (at most) ask Algorithm 2 to
-    tile two-node clusters whose members we already know.  Those
-    tilings are pure functions of immutable inputs, so evaluating them
-    ahead of time in worker processes and seeding the memo cannot
-    change any decision the serial loop makes — it only moves the
-    wall-clock.  The consumed entries are tracked in ``speculative`` so
-    the stats reconcile (see the memo branch of the merge loop).
-    Unconsumed entries (the loop adopted a merge first) are wasted
-    work, which the cap bounds.
-    """
-    pairs: List[FrozenSet[int]] = []
-    seen: Set[FrozenSet[int]] = set()
-    limit = workers * 4
-    if max_cluster_nodes is not None and max_cluster_nodes < 2:
-        return
-    for edge in candidates:
-        pair = frozenset((edge.src, edge.dst))
-        if len(pair) != 2 or pair in seen:
-            continue
-        seen.add(pair)
-        if not partition.can_merge(edge.src, edge.dst):
-            continue
-        pairs.append(pair)
-        if len(pairs) >= limit:
-            break
-    if len(pairs) < 2:
-        return
-    state = (
-        graph, block_graph, mem_lines, perf_tables, cache_bytes,
-        launch_overhead_us, include_anti,
-    )
-    with tracer.span(
-        "sched.speculate", cat="scheduler", pairs=len(pairs), workers=workers
-    ):
-        with scoped_pool(workers, _speculate_init, (state,)) as pool:
-            results = pool.map_ordered(
-                _speculate_task, [tuple(sorted(p)) for p in pairs]
-            )
-    for pair, tiling in zip(pairs, results):
-        tiling_memo[pair] = tiling
-        speculative.add(pair)

@@ -46,16 +46,15 @@ class ClusterTiling:
 
     ``work`` carries the deterministic work counters Algorithm 2 spent
     producing this tiling.  It travels with the tiling itself (through
-    memo hits, speculative workers, and the artifact store) so the
-    merge loop can charge it at *consume* time — the property that
-    keeps run-level counters worker-invariant.
+    memo hits and the artifact store) so the merge loop can charge it
+    at *consume* time, once per evaluation.
 
     ``ledger_events`` carries the tiling's ``tile_round`` decision-ledger
     entries (sans ``seq``, assigned when the run ledger consumes them)
     under the same contract: recorded here unconditionally, appended to
     the run's :class:`~repro.obs.decisions.DecisionLedger` only at the
     merge loop's consume-time charge site, so the ledger is
-    bit-identical across planner backends and worker counts.
+    bit-identical across planner backends.
     """
 
     nodes: FrozenSet[int]

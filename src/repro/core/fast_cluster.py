@@ -10,8 +10,8 @@ chain-ladder sweep pinned at ~n^2.2 ``planner.merge_probes``; and its
 (O(V+E) per adopted merge).  This backend is **bit-identical by
 contract**: same ``can_merge`` verdicts, same quotient adjacency, same
 :meth:`topo_order`, and therefore the same adopted-merge sequences,
-schedules, and golden fixtures for any planner backend × worker count
-× store temperature.  ``tests/test_partition_differential.py``
+schedules, and golden fixtures for either planner backend and any
+store temperature.  ``tests/test_partition_differential.py``
 enforces the contract on hypothesis-generated DAGs and probe graphs.
 
 How the reachability index works

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.analyzer.dependency import build_block_graph
 from repro.analyzer.footprint import BlockMemoryLines
@@ -41,7 +41,6 @@ from repro.gpusim.freq import FrequencyConfig, NOMINAL
 from repro.graph.block_graph import BlockDependencyGraph
 from repro.graph.kernel_graph import KernelGraph
 from repro.obs.tracer import NULL_TRACER
-from repro.parallel import parallel_map, resolve_workers
 from repro.store import NULL_STORE
 from repro.store.artifacts import (
     block_graph_from_dict,
@@ -86,7 +85,6 @@ class KTiler:
         spec: Optional[GpuSpec] = None,
         config: Optional[KTilerConfig] = None,
         tracer=NULL_TRACER,
-        workers: Optional[int] = None,
         store=None,
         planner_backend: Optional[str] = None,
     ):
@@ -96,12 +94,10 @@ class KTiler:
         self.config = config if config is not None else KTilerConfig()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.planner_backend = resolve_planner_backend(planner_backend)
-        self.workers = resolve_workers(workers)
         self.store = store if store is not None else NULL_STORE
         self.profiler = KernelProfiler(
             self.spec,
             self.config.grid_fractions,
-            workers=self.workers,
             store=self.store,
             tracer=self.tracer,
         )
@@ -251,7 +247,6 @@ class KTiler:
                 include_anti=self.config.include_anti,
                 max_cluster_nodes=self.config.max_cluster_nodes,
                 tracer=self.tracer,
-                workers=self.workers,
                 planner_backend=self.planner_backend,
             )
             result.schedule.validate(
@@ -263,37 +258,6 @@ class KTiler:
                 "plan", key, tiling_result_to_dict(result, self.graph)
             )
         return result
-
-    def plan_many(
-        self,
-        freqs: Sequence[FrequencyConfig],
-        workers: Optional[int] = None,
-    ) -> Dict[FrequencyConfig, TilingResult]:
-        """Plan several operating points, fanning out across workers.
-
-        Each worker runs the full (serial) pipeline for its frequency —
-        scheduling is a pure function of (graph, spec, config, freq),
-        so the parallel plans are bit-identical to serial ones.  With a
-        store attached the frequency-independent artifacts (trace,
-        block graph, profiles) are shared through it.  Results are
-        seeded into the plan memo, so subsequent :meth:`plan` calls and
-        report generation reuse them.
-        """
-        workers = self.workers if workers is None else resolve_workers(workers)
-        pending = [f for f in freqs if f not in self._plans]
-        if len(pending) > 1 and workers > 1:
-            tasks = [
-                (self.graph, self.spec, self.config, freq,
-                 self.planner_backend, self.store)
-                for freq in pending
-            ]
-            results = parallel_map(
-                _plan_task, tasks, workers=workers,
-                tracer=self.tracer, label="plan",
-            )
-            for freq, result in zip(pending, results):
-                self._plans[freq] = result
-        return {freq: self.plan(freq) for freq in freqs}
 
     def audit(self, freq: FrequencyConfig = NOMINAL):
         """Attributed default-vs-tiled replay joining predictions to outcomes.
@@ -347,18 +311,3 @@ class KTiler:
         )
         return result
 
-
-def _plan_task(task) -> TilingResult:
-    """Worker-side per-frequency plan (module-level for pickling).
-
-    Builds a serial (workers=1) KTiler so workers never nest pools; the
-    planner backend was resolved by the parent.  A pickled
-    ArtifactStore travels as its root path, so warm artifacts are
-    shared.
-    """
-    graph, spec, config, freq, planner_backend, store = task
-    tiler = KTiler(
-        graph, spec, config, workers=1, store=store,
-        planner_backend=planner_backend,
-    )
-    return tiler.plan(freq)

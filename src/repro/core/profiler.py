@@ -24,7 +24,7 @@ subset (see :meth:`repro.core.perftable.PerfTableSet.lookup`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.perftable import EMPTY_COMBO, InputCombo, PerformanceTable, PerfTableSet
 from repro.errors import ConfigurationError
@@ -35,7 +35,6 @@ from repro.gpusim.freq import FrequencyConfig
 from repro.graph.kernel_graph import KernelGraph
 from repro.kernels.base import KernelSpec
 from repro.obs.tracer import NULL_TRACER
-from repro.parallel import in_worker, parallel_map, resolve_workers
 from repro.store import NULL_STORE
 
 #: Default grid-size ladder, as fractions of the full grid (the paper's
@@ -69,45 +68,6 @@ def _read_lines_from(kernel: KernelSpec, blocks: Iterable[int], combo: InputComb
     return lines
 
 
-def _tally_task(task) -> LaunchTally:
-    """Worker-side ladder measurement (module-level for pickling).
-
-    A fresh simulator with a flushed L2 is state-identical to the
-    parent's ``reset_cache()`` path, and ``tally_launch`` counts on
-    private per-SM counters — so the tally is bit-identical to the one
-    the serial loop produces.
-    """
-    kernel, combo, grid, spec = task
-    sim = GpuSimulator(spec)
-    blocks = range(grid)
-    if combo:
-        sim.l2.touch_many(
-            _read_lines_from(kernel, blocks, combo, spec.line_shift)
-        )
-    return sim.tally_launch(kernel, blocks)
-
-
-def _profile_kernel_task(task) -> List[LaunchTally]:
-    """Worker-side standard profile of ONE kernel.
-
-    Batching a kernel's whole combo x grid ladder into one task matters
-    for total CPU, not just overhead: the kernel is pickled once, and
-    its memoized line streams (dropped from the pickle, rebuilt on
-    first use) are shared across all its tallies — the amortization
-    the serial loop gets, so the fan-out adds no duplicated work.
-    Finer granularities were measured strictly worse (per-combo tasks
-    rebuild the memos per combo, ~2.3x the serial CPU).  Each tally
-    starts from a fresh simulator, so every one is bit-identical to
-    serial.
-    """
-    kernel, combos, ladder, spec = task
-    return [
-        _tally_task((kernel, combo, grid, spec))
-        for combo in combos
-        for grid in ladder
-    ]
-
-
 @dataclass
 class ProfiledKernel:
     """Frequency-independent profile of one kernel spec."""
@@ -138,20 +98,15 @@ class KernelProfiler:
         self,
         spec: Optional[GpuSpec] = None,
         grid_fractions: Sequence[float] = DEFAULT_GRID_FRACTIONS,
-        workers: Optional[int] = None,
         store=NULL_STORE,
         tracer=NULL_TRACER,
     ):
         self.sim = GpuSimulator(spec)
         self.grid_fractions = tuple(grid_fractions)
-        self.workers = resolve_workers(workers)
         self.store = store if store is not None else NULL_STORE
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._profiles: Dict[KernelSpec, ProfiledKernel] = {}
         self._weight_grids: Dict[Tuple[KernelSpec, str], int] = {}
-        #: (kernel, combo) -> {grid: tally} measured ahead of time by
-        #: the profile_graph fan-out; consumed by profile_combo.
-        self._prefetched: Dict[Tuple[KernelSpec, InputCombo], Dict[int, LaunchTally]] = {}
 
     @property
     def spec(self) -> GpuSpec:
@@ -196,11 +151,8 @@ class KernelProfiler:
         """Ensure the grid ladder is measured for one input combination.
 
         The (kernel, combo) ladder is one artifact-store entry; a warm
-        store skips the measurement entirely.  Cold ladders with more
-        than one missing grid fan out across workers — each grid's
-        measurement starts from a flushed cache, so the points are
-        independent and the parallel tallies are bit-identical to the
-        serial loop's.
+        store skips the measurement entirely.  Each grid's measurement
+        starts from a flushed cache, so the points are independent.
         """
         profile = self._profiles.get(kernel)
         if profile is None:
@@ -230,27 +182,12 @@ class KernelProfiler:
                     for grid in missing:
                         profile.tallies[(combo, grid)] = restored[grid]
                     return profile
-        prefetched = self._prefetched.pop((kernel, combo), None)
         with self.tracer.span(
             "profiler.measure", cat="analyzer",
             kernel=kernel.name, grids=len(missing),
         ):
-            if prefetched is not None and all(g in prefetched for g in missing):
-                for grid in missing:
-                    profile.tallies[(combo, grid)] = prefetched[grid]
-            elif self.workers > 1 and len(missing) > 1:
-                tasks = [(kernel, combo, grid, self.spec) for grid in missing]
-                tallies = parallel_map(
-                    _tally_task, tasks, workers=self.workers,
-                    tracer=self.tracer, label="profile",
-                )
-                for grid, tally in zip(missing, tallies):
-                    profile.tallies[(combo, grid)] = tally
-            else:
-                for grid in missing:
-                    profile.tallies[(combo, grid)] = self._tally(
-                        kernel, combo, grid
-                    )
+            for grid in missing:
+                profile.tallies[(combo, grid)] = self._tally(kernel, combo, grid)
         if key is not None:
             from repro.store.artifacts import profile_to_dict
 
@@ -261,60 +198,10 @@ class KernelProfiler:
         return profile
 
     def profile_graph(self, graph: KernelGraph) -> Dict[KernelSpec, ProfiledKernel]:
-        """Profile every distinct kernel spec used by ``graph``.
-
-        With more than one worker, unprofiled kernels fan out one task
-        per kernel (the whole standard-combo ladder in one worker — see
-        :func:`_profile_kernel_task`), then :meth:`profile` consumes
-        the prefetched tallies so the store bookkeeping and memo layout
-        stay on the single code path.
-        """
-        if self.workers > 1 and not in_worker():
-            self._prefetch_graph(graph)
+        """Profile every distinct kernel spec used by ``graph``."""
         for node in graph:
             self.profile(node.kernel)
         return dict(self._profiles)
-
-    def _prefetch_graph(self, graph: KernelGraph) -> None:
-        """Measure all unprofiled kernels' standard ladders in parallel."""
-        kernels: List[KernelSpec] = []
-        seen: Set[int] = set()
-        for node in graph:
-            kernel = node.kernel
-            if id(kernel) in seen or kernel in self._profiles:
-                continue
-            seen.add(id(kernel))
-            kernels.append(kernel)
-        tasks = []
-        for kernel in kernels:
-            ladder = grid_ladder(kernel.num_blocks, self.grid_fractions)
-            combos = []
-            for combo in self.standard_combos(kernel):
-                if self.store.enabled:
-                    # Warm store entries will be served by profile_combo;
-                    # measuring them here would be pure wasted work.
-                    from repro.store.artifacts import profile_key
-
-                    key = self.store.key_for(
-                        profile_key(kernel, self.spec, self.grid_fractions, combo)
-                    )
-                    if self.store.get("profile", key) is not None:
-                        continue
-                combos.append(combo)
-            if combos:
-                tasks.append((kernel, combos, ladder, self.spec))
-        if len(tasks) < 2:
-            return
-        results = parallel_map(
-            _profile_kernel_task, tasks, workers=self.workers,
-            tracer=self.tracer, label="profile.graph",
-        )
-        for (kernel, combos, ladder, _), tallies in zip(tasks, results):
-            it = iter(tallies)
-            for combo in combos:
-                self._prefetched[(kernel, combo)] = {
-                    grid: next(it) for grid in ladder
-                }
 
     # ------------------------------------------------------------------
     # Frequency-specific artifacts
@@ -418,8 +305,9 @@ class LazyPerfTables:
         self, kernel: KernelSpec, combo: InputCombo, grid_size: int, work=None
     ) -> float:
         # Only the *query* is charged to the work tally; lazy table
-        # builds are memoized per process, so counting them would break
-        # worker invariance (each speculative worker holds its own memo).
+        # builds are memoized per profiler, shared by every operating
+        # point, so counting them would make the tally depend on what
+        # earlier plans already measured.
         if work is not None:
             work.perftable_queries += 1
         return self.lookup(kernel, combo).query(grid_size)

@@ -4,13 +4,13 @@ Wall-clock phase attribution (PR 5) says *where* the planner spends
 time; these counters say *how much work* it did — in units that are a
 pure function of (graph, GpuSpec, config, frequency).  They are the
 scheduler-side analogue of the simulator's hit/miss counters: cheap
-integer increments on the Algorithm 1/2 hot paths, bit-identical across
-worker counts (per-cluster work travels inside the
-:class:`~repro.core.cluster_tile.ClusterTiling` a speculative worker
-returns, and is charged when the merge loop *consumes* the tiling —
-exactly mirroring how ``TilingStats.tilings_evaluated`` reconciles).
+integer increments on the Algorithm 1/2 hot paths.  Per-cluster work
+travels inside the :class:`~repro.core.cluster_tile.ClusterTiling` and
+is charged when the merge loop *consumes* the tiling — exactly where
+``TilingStats.tilings_evaluated`` counts it — so a memoized tiling is
+paid for once.
 
-That invariance is what makes the counters usable as a complexity
+That determinism is what makes the counters usable as a complexity
 probe: plotted against graph size they trace the planner's empirical
 scaling exactly, with zero timing noise (see
 :mod:`repro.obs.profile`).
@@ -40,12 +40,11 @@ What counts (the work-counter contract, see TESTING.md):
 * ``edges_weighted`` — data edges assigned a weight.
 
 Untileable clusters (Algorithm 2 returns ``None``) charge nothing:
-their partial work has no tiling to travel with, and dropping it
-identically in the serial and speculative paths is what keeps the
-counters invariant.
+their partial work has no tiling to travel with, and a warm store
+could not replay it either.
 
 The *validity family* (:data:`VALIDITY_COUNTERS`) is the one exception
-to cross-cutting invariance: ``merge_probes`` and ``reach_repairs``
+to cross-backend invariance: ``merge_probes`` and ``reach_repairs``
 measure how hard the *selected planner backend* worked to prove merge
 validity, so they are deterministic per planner backend but differ
 *between* planner backends by design.  Every other counter is

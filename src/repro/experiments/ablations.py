@@ -28,7 +28,6 @@ from repro.gpusim import GpuSpec
 from repro.core.fast_cluster import resolve_planner_backend
 from repro.gpusim.freq import FrequencyConfig, NOMINAL
 from repro.graph.kernel_graph import KernelGraph
-from repro.parallel import parallel_map, resolve_workers
 from repro.runtime.launcher import measure_at, tally_schedule
 
 
@@ -98,53 +97,27 @@ def _measure(
     )
 
 
-def _measure_task(task) -> AblationRow:
-    """Worker-side sweep point (module-level for pickling).
-
-    Every point schedules and replays from scratch — a pure function of
-    the task tuple — so sweep rows computed in parallel are
-    bit-identical to serial ones.
-    """
-    return _measure(*task)
-
-
-def _sweep(tasks, workers: Optional[int], tracer, label: str) -> List[AblationRow]:
-    return parallel_map(
-        _measure_task,
-        tasks,
-        workers=resolve_workers(workers),
-        tracer=tracer,
-        label=label,
-    )
-
-
 def threshold_sweep(
     thresholds: Sequence[float] = (0.0, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0),
     spec: Optional[GpuSpec] = None,
     freq: FrequencyConfig = NOMINAL,
     gap_us: float = 1.0,
-    workers: Optional[int] = None,
     store=None,
-    tracer=None,
     planner_backend: Optional[str] = None,
 ) -> AblationResult:
-    from repro.obs.tracer import NULL_TRACER
-
     planner_backend = resolve_planner_backend(planner_backend, default="fast")
     used_spec = spec if spec is not None else GpuSpec(l2_bytes=512 * 1024)
     graph = _default_app()
-    tasks = [
-        (
-            graph, used_spec, freq,
-            KTilerConfig(threshold_us=threshold, launch_overhead_us=gap_us),
-            gap_us, store, planner_backend,
+    rows = [
+        replace(
+            _measure(
+                graph, used_spec, freq,
+                KTilerConfig(threshold_us=threshold, launch_overhead_us=gap_us),
+                gap_us, store, planner_backend,
+            ),
+            parameter=threshold,
         )
         for threshold in thresholds
-    ]
-    rows = _sweep(tasks, workers, tracer or NULL_TRACER, "ablation.threshold")
-    rows = [
-        replace(row, parameter=threshold)
-        for row, threshold in zip(rows, thresholds)
     ]
     return AblationResult(name="threshold_us", rows=rows)
 
@@ -155,27 +128,21 @@ def cache_sweep(
     ),
     freq: FrequencyConfig = NOMINAL,
     gap_us: float = 1.0,
-    workers: Optional[int] = None,
     store=None,
-    tracer=None,
     planner_backend: Optional[str] = None,
 ) -> AblationResult:
-    from repro.obs.tracer import NULL_TRACER
-
     planner_backend = resolve_planner_backend(planner_backend, default="fast")
     graph = _default_app()
-    tasks = [
-        (
-            graph, GpuSpec(l2_bytes=l2_bytes), freq,
-            KTilerConfig(launch_overhead_us=gap_us),
-            gap_us, store, planner_backend,
+    rows = [
+        replace(
+            _measure(
+                graph, GpuSpec(l2_bytes=l2_bytes), freq,
+                KTilerConfig(launch_overhead_us=gap_us),
+                gap_us, store, planner_backend,
+            ),
+            parameter=l2_bytes / 1024.0,
         )
         for l2_bytes in l2_sizes
-    ]
-    rows = _sweep(tasks, workers, tracer or NULL_TRACER, "ablation.cache")
-    rows = [
-        replace(row, parameter=l2_bytes / 1024.0)
-        for row, l2_bytes in zip(rows, l2_sizes)
     ]
     return AblationResult(name="l2_kb", rows=rows)
 
@@ -184,24 +151,21 @@ def gap_sweep(
     gaps_us: Sequence[float] = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0),
     spec: Optional[GpuSpec] = None,
     freq: FrequencyConfig = NOMINAL,
-    workers: Optional[int] = None,
     store=None,
-    tracer=None,
     planner_backend: Optional[str] = None,
 ) -> AblationResult:
-    from repro.obs.tracer import NULL_TRACER
-
     planner_backend = resolve_planner_backend(planner_backend, default="fast")
     used_spec = spec if spec is not None else GpuSpec(l2_bytes=512 * 1024)
     graph = _default_app()
-    tasks = [
-        (
-            graph, used_spec, freq,
-            KTilerConfig(launch_overhead_us=gap),
-            gap, store, planner_backend,
+    rows = [
+        replace(
+            _measure(
+                graph, used_spec, freq,
+                KTilerConfig(launch_overhead_us=gap),
+                gap, store, planner_backend,
+            ),
+            parameter=gap,
         )
         for gap in gaps_us
     ]
-    rows = _sweep(tasks, workers, tracer or NULL_TRACER, "ablation.gap")
-    rows = [replace(row, parameter=gap) for row, gap in zip(rows, gaps_us)]
     return AblationResult(name="gap_us", rows=rows)

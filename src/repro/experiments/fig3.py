@@ -29,7 +29,6 @@ from repro.gpusim import GpuSimulator, GpuSpec
 from repro.gpusim.dram import DramModel
 from repro.gpusim.executor import LaunchTally, time_launch
 from repro.gpusim.freq import FIG3_CONFIGS, FrequencyConfig
-from repro.parallel import parallel_map, resolve_workers
 
 
 def default_grid_sizes(max_blocks: int) -> List[int]:
@@ -116,22 +115,6 @@ def _steady_state_tallies(
     return tallies
 
 
-def _grid_sweep_task(task) -> List[List[LaunchTally]]:
-    """Worker-side sweep over a chunk of grid sizes.
-
-    Each grid's measurement starts from its own fresh simulator (as in
-    the serial path), so per-grid tallies are independent and the chunk
-    boundaries cannot change any result.  One application build serves
-    the whole chunk, amortizing the kernels' memoized line streams.
-    """
-    spec, image_size, grids = task
-    app = build_jacobi_pingpong(iters=2, size=image_size)
-    return [
-        _steady_state_tallies(spec, image_size, range(grid), app=app)
-        for grid in grids
-    ]
-
-
 def run_fig3(
     image_size: int = 512,
     spec: Optional[GpuSpec] = None,
@@ -139,20 +122,16 @@ def run_fig3(
     grid_sizes: Optional[Sequence[int]] = None,
     with_split_comparison: bool = True,
     tracer=None,
-    workers: Optional[int] = None,
 ) -> Fig3Result:
     """Reproduce the Figure 3 sweep.
 
     One cache replay per grid size serves every frequency configuration
-    (cache behaviour is frequency-independent).  ``workers`` spreads the
-    per-grid replays over processes; the throughput tables are
-    bit-identical for any worker count.
+    (cache behaviour is frequency-independent).
     """
     from repro.obs.tracer import NULL_TRACER
 
     if tracer is None:
         tracer = NULL_TRACER
-    workers = resolve_workers(workers)
     used_spec = spec if spec is not None else GpuSpec()
     dram = DramModel.from_spec(used_spec)
     app = build_jacobi_pingpong(iters=2, size=image_size)
@@ -160,38 +139,18 @@ def run_fig3(
     sizes = (
         list(grid_sizes) if grid_sizes is not None else default_grid_sizes(max_blocks)
     )
-    per_grid: List[List[LaunchTally]]
-    if workers > 1 and len(sizes) > 1:
-        # Round-robin chunks, one per worker slot: replay cost grows
-        # with grid size, so striding keeps the chunks balanced.
-        chunks = [sizes[i::workers] for i in range(workers)]
-        chunks = [c for c in chunks if c]
-        results = parallel_map(
-            _grid_sweep_task,
-            [(used_spec, image_size, chunk) for chunk in chunks],
-            workers=workers,
-            tracer=tracer,
-            label="fig3.grid",
-        )
-        by_grid = {
-            grid: tallies
-            for chunk, chunk_result in zip(chunks, results)
-            for grid, tallies in zip(chunk, chunk_result)
-        }
-        per_grid = [by_grid[grid] for grid in sizes]
-    else:
-        per_grid = []
-        for grid in sizes:
-            with tracer.span("fig3.grid", cat="experiment", grid=grid):
-                per_grid.append(
-                    _steady_state_tallies(
-                        used_spec,
-                        image_size,
-                        range(grid),
-                        tracer=tracer,
-                        app=app,
-                    )
+    per_grid: List[List[LaunchTally]] = []
+    for grid in sizes:
+        with tracer.span("fig3.grid", cat="experiment", grid=grid):
+            per_grid.append(
+                _steady_state_tallies(
+                    used_spec,
+                    image_size,
+                    range(grid),
+                    tracer=tracer,
+                    app=app,
                 )
+            )
     throughput: Dict[FrequencyConfig, List[float]] = {c: [] for c in configs}
     for grid, tallies in zip(sizes, per_grid):
         for config in configs:

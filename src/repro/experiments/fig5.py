@@ -76,7 +76,6 @@ def run_fig5(
     threshold_us: float = 0.0,
     check_functional: bool = False,
     tracer=NULL_TRACER,
-    workers: Optional[int] = None,
     store=None,
     planner_backend: Optional[str] = None,
 ) -> Fig5Result:
@@ -85,10 +84,9 @@ def run_fig5(
     Pass an enabled :class:`repro.obs.Tracer` to capture scheduler
     decisions, per-launch counters, and the default/tiled timelines of
     every operating point (``ktiler fig5 --trace out.json``).
-    ``workers`` fans the per-frequency plans and cache replays out
-    across processes; ``store`` (an :class:`repro.store.ArtifactStore`)
-    makes reruns of the same configuration serve schedules, profiles
-    and replays from disk.  Both leave the result bit-identical.
+    ``store`` (an :class:`repro.store.ArtifactStore`) makes reruns of
+    the same configuration serve schedules, profiles and replays from
+    disk, leaving the result bit-identical.
     """
     used_spec = spec if spec is not None else SCALED_SPEC
     planner_backend = resolve_planner_backend(planner_backend, default="fast")
@@ -103,7 +101,6 @@ def run_fig5(
             launch_overhead_us=used_spec.launch_gap_us,
         ),
         tracer=tracer,
-        workers=workers,
         store=store,
         planner_backend=planner_backend,
     )

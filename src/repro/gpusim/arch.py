@@ -24,6 +24,33 @@ def _is_power_of_two(value: int) -> bool:
     return value > 0 and (value & (value - 1)) == 0
 
 
+#: Counts and sizes: a zero or negative value describes no device.
+_POSITIVE_FIELDS = (
+    "num_sms",
+    "cores_per_sm",
+    "schedulers_per_sm",
+    "max_threads_per_sm",
+    "max_warps_per_sm",
+    "max_blocks_per_sm",
+    "max_threads_per_block",
+    "l2_bytes",
+    "l2_line_bytes",
+    "l2_assoc",
+    "mem_bus_bytes",
+)
+
+#: Latencies, the DRAM reference frequency and the launch gap: zero is a
+#: valid idealization, a negative value is not (the rules
+#: :class:`~repro.gpusim.dram.DramModel` and ``KTiler.plan`` apply too).
+_NON_NEGATIVE_FIELDS = (
+    "l2_hit_latency_cycles",
+    "dram_fixed_latency_ns",
+    "dram_freq_latency_ns",
+    "dram_ref_mhz",
+    "launch_gap_us",
+)
+
+
 @dataclass(frozen=True)
 class GpuSpec:
     """Architectural description of a GPU.
@@ -77,16 +104,24 @@ class GpuSpec:
     extras: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        if self.num_sms <= 0:
-            raise ConfigurationError("num_sms must be positive")
+        # Every field is checked here, up front, so a bad spec fails at
+        # construction instead of deep inside a simulation.
+        for name in _POSITIVE_FIELDS:
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(
+                    f"{name} must be positive, got {getattr(self, name)!r}"
+                )
+        for name in _NON_NEGATIVE_FIELDS:
+            if getattr(self, name) < 0:
+                raise ConfigurationError(
+                    f"{name} must be >= 0, got {getattr(self, name)!r}"
+                )
         if not _is_power_of_two(self.l2_line_bytes):
             raise ConfigurationError("l2_line_bytes must be a power of two")
         if self.l2_bytes % (self.l2_line_bytes * self.l2_assoc) != 0:
             raise ConfigurationError(
                 "l2_bytes must be divisible by l2_line_bytes * l2_assoc"
             )
-        if self.max_threads_per_block <= 0 or self.max_threads_per_sm <= 0:
-            raise ConfigurationError("thread limits must be positive")
 
     @property
     def line_shift(self) -> int:

@@ -81,27 +81,6 @@ class KernelSpec(ABC):
             Tuple[int, int, int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = {}
 
-    #: Memoization caches dropped when a kernel travels to a worker
-    #: process — they are derived state, potentially large, and each
-    #: worker rebuilds them lazily from the same deterministic inputs.
-    _MEMO_ATTRS = (
-        "_stream_cache",
-        "_arrays_cache",
-        "_sets_cache",
-        "_touched_cache",
-        "_read_ranges_cache",
-        "_batch_cache",
-    )
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        for attr in self._MEMO_ATTRS:
-            state[attr] = {}
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-
     # ------------------------------------------------------------------
     # Geometry helpers
     # ------------------------------------------------------------------

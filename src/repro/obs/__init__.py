@@ -30,8 +30,8 @@ The subsystem has four pieces:
   empirical complexity exponents over probe-graph size ladders;
 * :mod:`repro.obs.decisions` / :mod:`repro.obs.diff` — the decision
   ledger (every Algorithm 1 merge candidate and Algorithm 2 tile
-  round, bit-identical across planner backends and worker counts,
-  persisted with plan artifacts) and the ``ktiler diff`` engine that
+  round, bit-identical across planner backends, persisted with plan
+  artifacts) and the ``ktiler diff`` engine that
   joins two ledgers to attribute plan divergence to the first
   disagreeing decision.
 

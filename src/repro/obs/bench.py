@@ -18,8 +18,8 @@ Pieces, bottom to top:
   so nested spans are never double-counted.  The serve request log and
   ``ktiler profile`` both attribute time this way.
 * **environment fingerprint** — :func:`environment_fingerprint`
-  attaches git sha, python, platform, cpu count, planner backend, and
-  worker count to every document; :func:`fingerprint_noise_key` hashes
+  attaches git sha, python, platform, cpu count and planner backend
+  to every document; :func:`fingerprint_noise_key` hashes
   the machine-stable subset (the git sha is deliberately excluded: it
   changes every commit without changing the machine's noise profile),
   so a reader knows when two documents are comparable.
@@ -53,9 +53,7 @@ PHASES = (
     "trace", "block_graph", "profile", "partition", "tile", "replay", "other",
 )
 
-#: Span name -> phase.  ``parallel.map`` spans are mapped through their
-#: ``label`` arg instead (see :func:`span_phase`), and benchmarks can
-#: self-annotate with a ``bench.<phase>`` span.
+#: Span name -> phase.
 _PHASE_BY_SPAN = {
     "ktiler.instrument": "trace",
     "fig2.analyze": "trace",
@@ -64,20 +62,12 @@ _PHASE_BY_SPAN = {
     "profiler.measure": "profile",
     "suitability.profile": "profile",
     "ktiler.plan": "partition",
-    "sched.speculate": "tile",
     "tile.cluster": "tile",
     "tally_schedule": "replay",
     "audit.replay": "replay",
     "fig2.default": "replay",
     "fig2.tiled": "replay",
     "fig3.grid": "replay",
-}
-
-_PHASE_BY_POOL_LABEL = {
-    "profile": "profile",
-    "profile.graph": "profile",
-    "plan": "partition",
-    "replay": "replay",
 }
 
 
@@ -196,15 +186,7 @@ class SampleStats:
 # ----------------------------------------------------------------------
 def span_phase(event: dict) -> Optional[str]:
     """The pipeline phase a wall-clock span belongs to, or None."""
-    name = event.get("name", "")
-    if name == "parallel.map":
-        label = (event.get("args") or {}).get("label")
-        return _PHASE_BY_POOL_LABEL.get(label)
-    if name.startswith("bench."):
-        suffix = name[len("bench."):]
-        if suffix in PHASES:
-            return suffix
-    return _PHASE_BY_SPAN.get(name)
+    return _PHASE_BY_SPAN.get(event.get("name", ""))
 
 
 def phase_breakdown(
@@ -254,7 +236,7 @@ def phase_breakdown(
 #: timings are comparable.
 NOISE_KEY_FIELDS = (
     "python", "implementation", "platform", "machine", "cpu_count",
-    "planner_backend", "workers", "numpy",
+    "planner_backend", "numpy",
 )
 
 
@@ -275,18 +257,14 @@ def _git_sha() -> str:
     return "unknown"
 
 
-def environment_fingerprint(
-    workers: Optional[int] = None,
-    planner_backend: Optional[str] = None,
-) -> dict:
+def environment_fingerprint(planner_backend: Optional[str] = None) -> dict:
     """Everything a sample's value may depend on, plus the git sha.
 
-    ``workers``/``planner_backend`` resolve through the same precedence
-    the pipeline itself uses (argument > environment > default), so the
+    ``planner_backend`` resolves through the same precedence the
+    pipeline itself uses (argument > environment > default), so the
     fingerprint records what actually ran, not what was requested.
     """
     from repro.core.fast_cluster import resolve_planner_backend
-    from repro.parallel import resolve_workers
 
     fp = {
         "git_sha": _git_sha(),
@@ -296,7 +274,6 @@ def environment_fingerprint(
         "machine": platform.machine(),
         "cpu_count": os.cpu_count() or 1,
         "planner_backend": resolve_planner_backend(planner_backend),
-        "workers": resolve_workers(workers),
         "numpy": np.__version__,
     }
     fp["noise_key"] = fingerprint_noise_key(fp)
@@ -362,9 +339,9 @@ def run_benchmark(
 
     ``warmup`` untimed calls absorb import, allocator, and cache
     warmup effects; ``repeats`` timed calls follow.  Wall time is
-    ``perf_counter``, CPU time is ``process_time`` (child processes of
-    a parallel run are invisible to it — the wall clock is the headline
-    number, CPU is the corroborating witness).  Each repeat's tracer
+    ``perf_counter``, CPU time is ``process_time`` (the wall clock is
+    the headline number, CPU is the corroborating witness).  Each
+    repeat's tracer
     events fold into a per-phase breakdown, summarized as median/MAD
     per phase.
     """

@@ -19,8 +19,8 @@ entries are recorded at *consume* time (a tiling's round events travel
 inside the frozen :class:`~repro.core.cluster_tile.ClusterTiling` and
 are appended only when the merge loop first consumes the tiling), so a
 run's ledger — and therefore its :meth:`DecisionLedger.digest` — is
-bit-identical across planner backends (reference vs fast) and worker
-counts.  Backend-local quantities (the ``VALIDITY_COUNTERS`` families)
+bit-identical across planner backends (reference vs fast).
+Backend-local quantities (the ``VALIDITY_COUNTERS`` families)
 never enter an entry.
 
 The ledger is carried by
@@ -168,9 +168,8 @@ class DecisionLedger:
         """Append a consumed tiling's round events (consume-time site).
 
         Called from the merge loop's work-charging path — once per
-        tiling *evaluation*, never on memo hits — so the ledger stays
-        bit-identical across worker counts exactly like the work
-        counters.
+        tiling *evaluation*, never on memo hits — so the ledger follows
+        the same order as the work counters.
         """
         for event in events:
             entry = dict(event)

@@ -40,7 +40,7 @@ DIFF_SCHEMA_VERSION = 1
 DIFF_KINDS = ("plan_diff", "ledger_diff")
 
 #: Merge-entry fields compared positionally for the first divergence.
-#: Everything contract-identical across backends/workers — which is all
+#: Everything contract-identical across planner backends — which is all
 #: of a merge entry.
 _COMPARED_FIELDS = (
     "src",

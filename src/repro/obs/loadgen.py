@@ -107,7 +107,6 @@ def build_loadgen_doc(
     distinct: int,
     seed: int,
     warmup_requests: int,
-    workers: Optional[int] = None,
     planner_backend: Optional[str] = None,
     created_unix: Optional[float] = None,
     per_client_outcomes: Optional[List[List[str]]] = None,
@@ -179,7 +178,7 @@ def build_loadgen_doc(
         "created_unix": round(
             time.time() if created_unix is None else created_unix, 3
         ),
-        "environment": environment_fingerprint(workers, planner_backend),
+        "environment": environment_fingerprint(planner_backend),
         "config": {
             "repeats": len(all_latencies),
             "warmup": warmup_requests,
@@ -221,7 +220,6 @@ def run_loadgen(
     seed: int = 0,
     app_params: Optional[dict] = None,
     planner_backend: Optional[str] = None,
-    workers: Optional[int] = None,
     timeout_s: float = 600.0,
     log=None,
 ) -> dict:
@@ -241,7 +239,7 @@ def run_loadgen(
 
     handle = None
     if url is None:
-        service = PlanService(planner_backend=planner_backend, workers=workers)
+        service = PlanService(planner_backend=planner_backend)
         handle = start_server(service)
         url = handle.url
         emit(f"[loadgen] in-process daemon at {url}")
@@ -312,7 +310,6 @@ def run_loadgen(
         distinct=distinct,
         seed=seed,
         warmup_requests=distinct,
-        workers=workers,
         planner_backend=planner_backend,
         per_client_outcomes=per_client_outcomes,
         server_elapsed_ms=server_elapsed_ms,

@@ -8,9 +8,8 @@ import this module without cycles:
   emitted while a context is active with its ``request_id`` (and
   appends the span to the context), and the counter registry notes
   per-request counter deltas.  ``use_context`` re-establishes a
-  context on another thread (the single-flight planner pool) or in a
-  fork-pool worker, so one request id follows the work wherever it
-  executes.
+  context on another thread (the single-flight planner pool), so one
+  request id follows the work wherever it executes.
 * **tracez** — a thread-safe ring buffer of recent / slow / error
   request exemplars (span trees + counter deltas), served live by
   ``GET /debug/tracez``.
@@ -118,9 +117,8 @@ def current_request_id() -> Optional[str]:
 class use_context:
     """Activate ``ctx`` (possibly ``None``) for the dynamic extent.
 
-    Used by the service on the handler thread, re-entered by the
-    planner pool when it runs the leader's job, and by fork-pool
-    workers (each builds a lightweight context from the shipped id).
+    Used by the service on the handler thread, and re-entered by the
+    planner pool when it runs the leader's job.
     """
 
     __slots__ = ("_ctx", "_token")

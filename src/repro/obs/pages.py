@@ -171,7 +171,6 @@ def render_profile_html(doc: dict) -> str:
         f"app <b>{esc(doc['app'])}</b> &middot; "
         f"commit <code>{esc(str(env['git_sha'])[:12])}</code> &middot; "
         f"python {esc(env['python'])} &middot; "
-        f"{env['workers']} worker(s) &middot; "
         f"noise key <code>{esc(env['noise_key'][:12])}</code>"
         "</p>",
     ]

@@ -106,9 +106,8 @@ class StackProfiler:
 
     Deterministic in *structure*: the set of stacks and their call
     counts are a pure function of the profiled code path; only the
-    microsecond weights carry timing noise.  Single-threaded by design
-    (the planner is single-threaded per process; worker processes are
-    profiled by running them serially).
+    microsecond weights carry timing noise.  Single-threaded by design:
+    the planner runs on one thread.
 
     Use as a context manager, or :meth:`start`/:meth:`stop` directly.
     :meth:`pause`/:meth:`resume` gate recording without uninstalling
@@ -350,7 +349,6 @@ def profile_planner(
     spec=None,
     config=None,
     engine: Optional[str] = "stack",
-    workers: Optional[int] = None,
     tracer: Optional[Tracer] = None,
     spans: Sequence[str] = DEFAULT_PROFILE_SPANS,
     planner_backend: Optional[str] = None,
@@ -376,8 +374,7 @@ def profile_planner(
         config = KTilerConfig(launch_overhead_us=2.0)
     ktiler = KTiler(
         app.graph, spec, config,
-        tracer=tracer, workers=workers,
-        planner_backend=planner_backend,
+        tracer=tracer, planner_backend=planner_backend,
     )
     frames: List[dict] = []
     profile_total_us = 0.0
@@ -475,7 +472,6 @@ def run_sweep(
     repeats: int = 3,
     warmup: int = 1,
     spec=None,
-    workers: Optional[int] = None,
     seed: int = 0,
     image_size: int = 32,
     log: Optional[Callable[[str], None]] = None,
@@ -515,8 +511,7 @@ def run_sweep(
         def run(tracer: Tracer):
             ktiler = KTiler(
                 app.graph, spec, config,
-                tracer=tracer, workers=workers,
-                planner_backend=planner_backend,
+                tracer=tracer, planner_backend=planner_backend,
             )
             return ktiler.plan()
 
@@ -596,7 +591,6 @@ def build_profile_doc(
     app_label: str,
     capture: Optional[dict] = None,
     sweep: Optional[dict] = None,
-    workers: Optional[int] = None,
     max_frames: int = 200,
     planner_backend: Optional[str] = None,
 ) -> dict:
@@ -605,7 +599,7 @@ def build_profile_doc(
         "schema_version": PROFILE_SCHEMA_VERSION,
         "kind": "planner-profile",
         "created_unix": round(time.time(), 3),
-        "environment": environment_fingerprint(workers, planner_backend),
+        "environment": environment_fingerprint(planner_backend),
         "app": app_label,
     }
     if capture is not None:

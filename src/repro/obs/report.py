@@ -39,11 +39,6 @@ def _prom_label_value(value: str) -> str:
 #: family always gets a ``# HELP`` header.
 METRIC_HELP: Dict[str, str] = {
     "cache.hits": "L2 line hits observed outside the simulator core",
-    "parallel.pool.busy_seconds": "summed worker-task wall seconds",
-    "parallel.pool.capacity_seconds": "pool lifetime times worker count",
-    "parallel.pool.utilization": "busy_seconds over capacity_seconds",
-    "parallel.tasks": "tasks executed by the worker pools",
-    "parallel.task_seconds": "wall seconds spent inside worker tasks",
     "run.busy_us": "simulated microseconds spent executing launches",
     "run.gap_us": "simulated microseconds lost to launch gaps",
     "run.l2_hit_rate": "overall L2 hit rate of the replayed schedule",

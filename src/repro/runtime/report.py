@@ -20,7 +20,6 @@ from repro.core.ktiler import KTiler
 from repro.core.schedule import Schedule
 from repro.gpusim.freq import FrequencyConfig
 from repro.obs.tracer import NULL_TRACER
-from repro.parallel import parallel_map, resolve_workers
 from repro.runtime.launcher import ScheduleTallies, measure_at, tally_schedule
 from repro.store import NULL_STORE
 from repro.store.artifacts import (
@@ -117,30 +116,17 @@ def _schedule_signature(schedule: Schedule) -> Tuple:
     return tuple((sub.node_id, sub.blocks) for sub in schedule)
 
 
-def _replay_task(task) -> ScheduleTallies:
-    """Worker-side cache replay (module-level for pickling).
-
-    ``tally_schedule`` always starts from a fresh simulator with a cold
-    L2, so a replay in a worker process is bit-identical to the serial
-    one.
-    """
-    schedule, graph, spec = task
-    return tally_schedule(schedule, graph, spec)
-
-
 def _replay_schedules(
     schedules: List[Schedule],
     graph,
     spec,
     store,
-    workers: int,
     tracer,
 ) -> List[ScheduleTallies]:
-    """Replay each schedule, via the artifact store and worker pool.
+    """Replay each schedule, via the artifact store.
 
-    Warm entries are served from the store; cold ones are tallied (in
-    parallel when more than one is missing) and written back.  Results
-    are positionally aligned with ``schedules``.
+    Warm entries are served from the store; cold ones are tallied and
+    written back.  Results are positionally aligned with ``schedules``.
     """
     results: List[Optional[ScheduleTallies]] = [None] * len(schedules)
     keys: List[Optional[str]] = [None] * len(schedules)
@@ -151,19 +137,8 @@ def _replay_schedules(
             if payload is not None:
                 results[i] = schedule_tallies_from_dict(payload)
     misses = [i for i in range(len(schedules)) if results[i] is None]
-    if workers > 1 and len(misses) > 1:
-        tallies = parallel_map(
-            _replay_task,
-            [(schedules[i], graph, spec) for i in misses],
-            workers=workers,
-            tracer=tracer,
-            label="replay",
-        )
-        for i, replay in zip(misses, tallies):
-            results[i] = replay
-    else:
-        for i in misses:
-            results[i] = tally_schedule(schedules[i], graph, spec, tracer=tracer)
+    for i in misses:
+        results[i] = tally_schedule(schedules[i], graph, spec, tracer=tracer)
     if store.enabled:
         for i in misses:
             store.put("replay", keys[i], schedule_tallies_to_dict(results[i]))
@@ -175,36 +150,21 @@ def compare_default_vs_ktiler(
     freqs: Sequence[FrequencyConfig],
     launch_gap_us: Optional[float] = None,
     tracer=None,
-    workers: Optional[int] = None,
 ) -> ComparisonReport:
     """Run the Figure 5 experiment over the given operating points.
 
     ``tracer`` defaults to the KTiler's own tracer; with tracing
     enabled, the default and tiled timelines of every operating point
     are attached to the tracer (``default@<freq>`` / ``ktiler@<freq>``)
-    for Chrome-trace export.
-
-    ``workers`` defaults to the KTiler's worker count.  With more than
-    one worker the per-frequency plans fan out first (see
-    :meth:`KTiler.plan_many`), then the distinct schedules' cache
-    replays fan out; both stages return bit-identical results to the
-    serial path, so the report is too.  The KTiler's artifact store (if
-    any) serves warm replays and receives cold ones.
+    for Chrome-trace export.  The KTiler's artifact store (if any)
+    serves warm replays and receives cold ones.
     """
     if tracer is None:
         tracer = getattr(ktiler, "tracer", NULL_TRACER)
     graph = ktiler.graph
     spec = ktiler.spec
     store = getattr(ktiler, "store", NULL_STORE)
-    if workers is None:
-        workers = getattr(ktiler, "workers", 1)
-    else:
-        workers = resolve_workers(workers)
-
-    if hasattr(ktiler, "plan_many"):
-        plans = ktiler.plan_many(freqs, workers=workers)
-    else:  # baseline harnesses duck-typing a planner
-        plans = {freq: ktiler.plan(freq) for freq in freqs}
+    plans = {freq: ktiler.plan(freq) for freq in freqs}
 
     # Distinct schedules to replay: the default plus one per unique
     # tiled schedule (operating points often share a schedule).
@@ -215,7 +175,7 @@ def compare_default_vs_ktiler(
         if signature not in sig_index:
             sig_index[signature] = len(jobs)
             jobs.append(plans[freq].schedule)
-    replays = _replay_schedules(jobs, graph, spec, store, workers, tracer)
+    replays = _replay_schedules(jobs, graph, spec, store, tracer)
     default_replay = replays[0]
     replay_cache: Dict[Tuple, ScheduleTallies] = {
         signature: replays[i] for signature, i in sig_index.items()

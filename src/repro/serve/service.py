@@ -33,7 +33,7 @@ keeps running and lands in the memo — a retry is served warm.
 Every request additionally runs under a request context
 (:mod:`repro.obs.ops`): its id — client-supplied ``X-Request-Id`` or
 minted — tags every span/counter the request touches, including work
-done on the planner pool and in fork-pool workers.  On completion the
+done on the planner pool's threads.  On completion the
 service records a ``serve.latency`` histogram sample (per
 endpoint/outcome), emits one structured JSON log line
 (:mod:`repro.obs.slog`), and files an exemplar (span tree + counter
@@ -136,7 +136,6 @@ class PlanService:
         tracer: Optional[Tracer] = None,
         store=NULL_STORE,
         planner_backend: Optional[str] = None,
-        workers: Optional[int] = None,
         timeout_s: float = DEFAULT_TIMEOUT_S,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
         planner_threads: int = 4,
@@ -153,10 +152,7 @@ class PlanService:
             store.tracer = self.tracer
         self.timeout_s = timeout_s
         self.max_body_bytes = max_body_bytes
-        self.defaults = {
-            "planner_backend": planner_backend,
-            "workers": workers,
-        }
+        self.defaults = {"planner_backend": planner_backend}
         self._lock = threading.Lock()
         # Encoded results by memo key, and fingerprints by canonical
         # request echo; both LRU.
@@ -285,7 +281,6 @@ class PlanService:
                 request = parse_plan_request(
                     payload,
                     default_planner_backend=self.defaults["planner_backend"],
-                    default_workers=self.defaults["workers"],
                 )
                 preset = request.preset
                 fingerprint = self._fingerprint(request)
@@ -438,7 +433,6 @@ class PlanService:
             spec=request.spec,
             config=request.config,
             tracer=self.tracer,
-            workers=request.workers,
             store=self.store,
             planner_backend=request.planner_backend,
         )

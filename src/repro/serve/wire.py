@@ -21,9 +21,7 @@ HTTP API and keeps the service itself free of parsing concerns:
   the quantity the bit-identity contract is stated over.
 
 The fingerprint covers only plan-*semantic* inputs (graph, GpuSpec,
-frequency, KTilerConfig, planner backend).  The worker count is
-bit-identical by contract and deliberately excluded: requests
-differing only in it coalesce onto one job.
+frequency, KTilerConfig, planner backend).
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from repro.core.ktiler import KTilerConfig
 from repro.gpusim.arch import ConfigurationError, GpuSpec
 from repro.gpusim.freq import NOMINAL, FrequencyConfig
 from repro.graph.kernel_graph import KernelGraph
-from repro.parallel.pool import resolve_workers
 from repro.store.artifacts import plan_key
 from repro.store.fingerprint import content_key
 
@@ -357,7 +354,6 @@ _TOP_KEYS = {
     "freq",
     "config",
     "planner_backend",
-    "workers",
     "measure",
     "ledger",
     "timeout_s",
@@ -382,7 +378,6 @@ class PlanRequest:
     freq: FrequencyConfig
     config: KTilerConfig
     planner_backend: str
-    workers: int
     measure: bool = False
     ledger: bool = False
     timeout_s: Optional[float] = None
@@ -403,7 +398,6 @@ class PlanRequest:
 def parse_plan_request(
     payload: Any,
     default_planner_backend: Optional[str] = None,
-    default_workers: Optional[int] = None,
 ) -> PlanRequest:
     """Validate a decoded JSON body into a :class:`PlanRequest`.
 
@@ -433,18 +427,6 @@ def parse_plan_request(
     except ConfigurationError as exc:
         raise WireError("bad_value", str(exc))
 
-    workers = body.get("workers", default_workers)
-    if workers is not None and (
-        isinstance(workers, bool) or not isinstance(workers, int)
-    ):
-        raise WireError("bad_value", "workers must be an integer")
-    if workers is not None and not 1 <= workers <= 64:
-        raise WireError("bad_value", f"workers={workers} out of range [1, 64]")
-    try:
-        workers = resolve_workers(workers)
-    except ConfigurationError as exc:
-        raise WireError("bad_value", str(exc))
-
     measure = body.get("measure", False)
     if not isinstance(measure, bool):
         raise WireError("bad_value", "measure must be a boolean")
@@ -471,7 +453,6 @@ def parse_plan_request(
         freq=freq,
         config=config,
         planner_backend=planner_backend,
-        workers=workers,
         measure=measure,
         ledger=ledger,
         timeout_s=None if timeout_s is None else float(timeout_s),

@@ -18,9 +18,10 @@ bit-identical determinism contract.
 Robustness properties, enforced by ``tests/test_store.py``:
 
 * **atomic writes** — payloads land via temp file + ``os.replace``, so
-  two concurrent writers (parallel workers, two CLI runs) cannot
-  interleave partial content; last-complete-write wins and both writes
-  carry identical bytes anyway (same key = same content);
+  two concurrent writers (two CLI runs or two daemons sharing one
+  cache directory) cannot interleave partial content;
+  last-complete-write wins and both writes carry identical bytes
+  anyway (same key = same content);
 * **corruption fallback** — an unreadable, truncated or
   version-mismatched entry is reported with a :class:`RuntimeWarning`
   and treated as a miss (the caller recomputes and overwrites);
@@ -61,16 +62,6 @@ class ArtifactStore:
         self.writes = 0
         self.corrupt = 0
         os.makedirs(self.root, exist_ok=True)
-
-    # The tracer is process-local (worker processes report to their own
-    # parent, not ours); a pickled store travels as a bare path.
-    def __getstate__(self):
-        return {"root": self.root}
-
-    def __setstate__(self, state):
-        self.root = state["root"]
-        self.tracer = NULL_TRACER
-        self.hits = self.misses = self.writes = self.corrupt = 0
 
     # ------------------------------------------------------------------
     def key_for(self, payload) -> str:

@@ -260,13 +260,5 @@ class OracleL2(SetAssocCache):
 
 
 def use_oracle_l2(monkeypatch) -> None:
-    """Make every :class:`GpuSimulator` built in this test use the oracle L2.
-
-    Also pins ``KTILER_WORKERS=1``: a pool worker forked before the
-    patch would still build the vectorized L2, so all replay stays in
-    this process.
-    """
-    from repro.parallel.pool import WORKERS_ENV_VAR
-
+    """Make every :class:`GpuSimulator` built in this test use the oracle L2."""
     monkeypatch.setattr("repro.gpusim.executor.FastSetAssocCache", OracleL2)
-    monkeypatch.setenv(WORKERS_ENV_VAR, "1")

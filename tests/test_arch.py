@@ -41,6 +41,32 @@ class TestGpuSpec:
         with pytest.raises(ConfigurationError):
             GpuSpec(num_sms=0)
 
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "num_sms", "cores_per_sm", "schedulers_per_sm",
+            "max_threads_per_sm", "max_warps_per_sm", "max_blocks_per_sm",
+            "max_threads_per_block", "l2_bytes", "l2_line_bytes",
+            "l2_assoc", "mem_bus_bytes",
+        ],
+    )
+    def test_rejects_nonpositive_counts_and_sizes(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            GpuSpec(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "l2_hit_latency_cycles", "dram_fixed_latency_ns",
+            "dram_freq_latency_ns", "dram_ref_mhz", "launch_gap_us",
+        ],
+    )
+    def test_rejects_negative_latencies_and_gap(self, field):
+        with pytest.raises(ConfigurationError, match=field):
+            GpuSpec(**{field: -1})
+        assert getattr(GpuSpec(**{field: 0}), field) == 0
+
     def test_spec_with_l2(self):
         spec = spec_with_l2(GTX_960M, 512 * 1024)
         assert spec.l2_bytes == 512 * 1024

@@ -85,6 +85,62 @@ class TestParser:
             build_parser().parse_args(["loadgen", "--preset", "nope"])
 
 
+class TestCountFlags:
+    """Count and size flags must be >= 1, checked by argparse before any
+    work starts."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["explain", "--l2-kb", "0"],
+            ["explain", "--l2-kb", "-64"],
+            ["loadgen", "--clients", "0"],
+            ["loadgen", "--requests", "0"],
+            ["loadgen", "--distinct", "0"],
+            ["profile", "--repeats", "0"],
+            ["profile", "--kernels", "0"],
+            ["serve", "--planner-threads", "0"],
+            ["serve", "--tracez-capacity", "0"],
+            ["serve", "--max-body-kb", "0"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_nonpositive_count_exits_2_with_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {argv[1]}: must be >= 1" in err
+
+    def test_non_integer_count_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["loadgen", "--clients", "four"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'four'" in capsys.readouterr().err
+
+
+class TestAblationCommand:
+    @pytest.mark.parametrize("knob", ["threshold", "cache", "gap"])
+    def test_sweep_is_called_with_arguments_it_accepts(
+        self, knob, monkeypatch, capsys
+    ):
+        import inspect
+
+        import repro.cli as cli
+        from repro.experiments.ablations import AblationResult
+
+        real = getattr(cli, f"{knob}_sweep")
+
+        def fake(**kwargs):
+            inspect.signature(real).bind(**kwargs)
+            return AblationResult(name=knob, rows=[])
+
+        monkeypatch.setattr(cli, f"{knob}_sweep", fake)
+        assert main(["ablation", knob]) == 0
+        assert f"Ablation: {knob}" in capsys.readouterr().out
+
+
 class TestPresetRegistry:
     """explain, diff and profile build their apps from the daemon's
     preset registry, so a CLI run and a default wire request plan the
@@ -124,14 +180,13 @@ class TestClientRequestBody:
             "--iters", "10", "--gpu-base", "paper", "--l2-kb", "512",
             "--gpu-mhz", "549", "--mem-mhz", "2505",
             "--planner-backend", "fast",
-            "--workers", "2", "--measure", "--timeout-s", "30",
+            "--measure", "--timeout-s", "30",
         ]))
         assert body == {
             "app": {"preset": "fig5", "size": 128, "levels": 2, "iters": 10},
             "gpu": {"base": "paper", "l2_kb": 512},
             "freq": {"gpu_mhz": 549.0, "mem_mhz": 2505.0},
             "planner_backend": "fast",
-            "workers": 2,
             "measure": True,
             "timeout_s": 30.0,
         }

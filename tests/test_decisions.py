@@ -3,7 +3,7 @@
 The ledger (:mod:`repro.obs.decisions`) records every Algorithm 1
 merge candidate and every Algorithm 2 tile round, charged at the same
 consume-time sites as the work counters — so it must be **bit-identical
-across planner backends and worker counts**, sufficient to replay the
+across planner backends**, sufficient to replay the
 adopted merge script, persisted with plan artifacts, and the single
 source the ``sched.merge`` trace instants derive from.  The diff
 engine (:mod:`repro.obs.diff`) joins two ledgers to attribute plan
@@ -15,7 +15,7 @@ Structure:
   the whole data-edge set, validation errors;
 * the differential suite (in the spirit of
   ``test_partition_differential.py``): probe graphs and a Figure-5
-  family app produce one ledger digest across backends × workers;
+  family app produce one ledger digest across planner backends;
 * hypothesis sufficiency: replaying the adopted entries through a
   fresh partition reconstructs the plan's clustering;
 * store migration: v2 envelopes and ledger-less v3 payloads both
@@ -66,7 +66,7 @@ def _pipeline_app():
     return build_pipeline(size=1024)
 
 
-def _plan(app, planner_backend=None, workers=None, tracer=None, freq=NOMINAL):
+def _plan(app, planner_backend=None, tracer=None, freq=NOMINAL):
     from repro.obs import NULL_TRACER
 
     ktiler = KTiler(
@@ -74,7 +74,6 @@ def _plan(app, planner_backend=None, workers=None, tracer=None, freq=NOMINAL):
         config=KTilerConfig(launch_overhead_us=2.0),
         tracer=tracer if tracer is not None else NULL_TRACER,
         planner_backend=planner_backend,
-        workers=workers,
     )
     return ktiler.plan(freq)
 
@@ -160,7 +159,7 @@ class TestLedgerSchema:
 
 
 # ----------------------------------------------------------------------
-# The differential contract: one digest across backends × workers
+# The differential contract: one digest across planner backends
 # ----------------------------------------------------------------------
 LEDGER_CASES = [
     ("chain", 24),
@@ -181,12 +180,9 @@ class TestLedgerBitIdentity:
         monkeypatch.delenv(PLANNER_BACKEND_ENV_VAR, raising=False)
         digests = set()
         for backend in PLANNER_BACKENDS:
-            for workers in (1, 2):
-                plan = _plan(
-                    _probe_app(shape, kernels), backend, workers=workers
-                )
-                validate_ledger(plan.ledger.as_dict())
-                digests.add(plan.ledger.digest())
+            plan = _plan(_probe_app(shape, kernels), backend)
+            validate_ledger(plan.ledger.as_dict())
+            digests.add(plan.ledger.digest())
         assert len(digests) == 1
 
     def test_fig5_family_app(self, monkeypatch):
@@ -196,21 +192,17 @@ class TestLedgerBitIdentity:
         monkeypatch.delenv(PLANNER_BACKEND_ENV_VAR, raising=False)
         digests = set()
         for backend in PLANNER_BACKENDS:
-            for workers in (1, 2):
-                app = build_hsopticalflow(
-                    frame_size=64, levels=2, jacobi_iters=3
-                )
-                plan = _plan(app, backend, workers=workers)
-                digests.add(plan.ledger.digest())
+            app = build_hsopticalflow(frame_size=64, levels=2, jacobi_iters=3)
+            plan = _plan(app, backend)
+            digests.add(plan.ledger.digest())
         assert len(digests) == 1
 
     def test_pipeline_adoption_rich(self, monkeypatch):
         monkeypatch.delenv(PLANNER_BACKEND_ENV_VAR, raising=False)
         digests = set()
         for backend in PLANNER_BACKENDS:
-            for workers in (1, 2):
-                plan = _plan(_pipeline_app(), backend, workers=workers)
-                digests.add(plan.ledger.digest())
+            plan = _plan(_pipeline_app(), backend)
+            digests.add(plan.ledger.digest())
         assert len(digests) == 1
 
 
@@ -272,17 +264,14 @@ class TestReplaySufficiency:
         kernels=st.integers(min_value=4, max_value=14),
         seed=st.integers(min_value=0, max_value=3),
         backend=st.sampled_from(PLANNER_BACKENDS),
-        workers=st.sampled_from((1, 2)),
     )
-    def test_replay_reconstructs_partition(
-        self, shape, kernels, seed, backend, workers
-    ):
+    def test_replay_reconstructs_partition(self, shape, kernels, seed, backend):
         from repro.apps.synthetic import build_probe_graph
 
         app = build_probe_graph(
             shape=shape, kernels=kernels, size=16, seed=seed
         )
-        plan = _plan(app, backend, workers=workers)
+        plan = _plan(app, backend)
         replayed = replay_adopted(
             app.graph, plan.ledger, planner_backend=backend
         )

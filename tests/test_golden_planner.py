@@ -4,8 +4,8 @@
 for a 1024-kernel grid probe graph (``build_probe_graph(shape="grid",
 kernels=1024, size=32, seed=0)``): the schedule document, the adopted
 partition, the scheduler telemetry, and the deterministic work
-counters.  Both planner backends and both worker counts {1, 2} must
-reproduce the shared summary verbatim — the planner-backend contract at
+counters.  Both planner backends must reproduce the shared summary
+verbatim — the planner-backend contract at
 a scale where the reference backend performs ~10^6 merge probes, so any
 divergence in a single ``can_merge`` verdict shifts the counters or the
 schedule immediately.
@@ -39,7 +39,7 @@ SEED = 0
 COST_ROUND = 6
 
 
-def build_plan(planner_backend: str, workers: int = 1):
+def build_plan(planner_backend: str):
     from repro.apps.synthetic import build_probe_graph
     from repro.core import KTiler, KTilerConfig
 
@@ -49,7 +49,6 @@ def build_plan(planner_backend: str, workers: int = 1):
     ktiler = KTiler(
         app.graph,
         config=KTilerConfig(launch_overhead_us=2.0),
-        workers=workers,
         planner_backend=planner_backend,
     )
     return app.graph, ktiler.plan()
@@ -58,8 +57,8 @@ def build_plan(planner_backend: str, workers: int = 1):
 def split_summary(graph, plan) -> tuple:
     """(shared summary, per-backend validity counters).
 
-    The shared part must be identical for every planner backend ×
-    worker count; the validity counters are pinned per backend.
+    The shared part must be identical for every planner backend; the
+    validity counters are pinned per backend.
     """
     from repro.core.serialize import schedule_to_dict
 
@@ -86,16 +85,15 @@ def load_golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("planner_backend", ["reference", "fast"])
-def test_planner_backend_reproduces_golden(planner_backend, workers):
+def test_planner_backend_reproduces_golden(planner_backend):
     golden = load_golden()
-    graph, plan = build_plan(planner_backend, workers=workers)
+    graph, plan = build_plan(planner_backend)
     summary, validity = split_summary(graph, plan)
     assert summary == golden["summary"], (
         f"the grid-probe plan under planner_backend={planner_backend} "
-        f"workers={workers} diverged from the golden fixture; if the "
-        "change is intentional, regenerate it and review the diff"
+        "diverged from the golden fixture; if the change is "
+        "intentional, regenerate it and review the diff"
     )
     assert validity == golden["validity"][planner_backend], (
         f"validity-family counters moved for planner_backend="

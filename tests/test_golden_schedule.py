@@ -8,8 +8,8 @@ run-length-encoded block list in launch order, plus the adopted
 partition and the scheduler telemetry.  It was generated by the
 **reference** planner with the list-based L2 that is now the test
 oracle (regenerate with ``PYTHONPATH=src python
-tests/test_golden_schedule.py``).  Every planner backend and worker
-count must reproduce the shared summary verbatim, both on the
+tests/test_golden_schedule.py``).  Every planner backend must
+reproduce the shared summary verbatim, both on the
 simulator's own vectorized L2 (``fast``) and with the oracle swapped in
 (``reference``, see :func:`tests.oracles.use_oracle_l2`).
 
@@ -52,7 +52,7 @@ GOLDEN_PATH = GOLDEN_DIR / "schedule_hsopticalflow_reference.json"
 COST_ROUND = 6
 
 
-def build_plan(workers: int = 1, planner_backend: str = "reference"):
+def build_plan(planner_backend: str = "reference"):
     from repro.apps.hsopticalflow import build_hsopticalflow
     from repro.core.ktiler import KTiler, KTilerConfig
     from repro.experiments.presets import (
@@ -72,7 +72,6 @@ def build_plan(workers: int = 1, planner_backend: str = "reference"):
         app.graph,
         spec=SCALED_SPEC,
         config=KTilerConfig(launch_overhead_us=SCALED_SPEC.launch_gap_us),
-        workers=workers,
         planner_backend=planner_backend,
     )
     return app.graph, ktiler.plan(NOMINAL)
@@ -121,15 +120,6 @@ def test_backends_reproduce_golden_schedule(backend, planner_backend, monkeypatc
         "review the diff"
     )
     assert validity == golden["validity"][planner_backend]
-
-
-def test_parallel_scheduler_reproduces_golden_schedule():
-    """workers=4 must land on the very same pinned schedule."""
-    golden = load_golden()
-    graph, plan = build_plan(workers=4, planner_backend="fast")
-    summary, validity = plan_summary(graph, plan)
-    assert summary == golden["summary"]
-    assert validity == golden["validity"]["fast"]
 
 
 def test_golden_schedule_roundtrips_through_serializer():

@@ -3,11 +3,9 @@
 Five attack surfaces:
 
 * **the work-counter contract** — planner work counters must be
-  non-zero where the topology exercises them, bit-identical across
-  simulator backends and worker counts (the hypothesis property that
-  pins the contract), and must survive the artifact store round-trip
-  (warm-cache plans report the same work as the cold plan that
-  produced them);
+  non-zero where the topology exercises them, and must survive the
+  artifact store round-trip (warm-cache plans report the same work as
+  the cold plan that produced them);
 * **the stack profiler** — frame capture, pause/resume gating, span
   scoping, and the collapsed-stack export format;
 * **exponent fitting** — exact recovery on synthetic power laws,
@@ -24,8 +22,6 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.apps.synthetic import (
     MAX_PROBE_KERNELS,
@@ -60,8 +56,8 @@ SMALL_SPEC = GpuSpec(l2_bytes=64 * 1024, launch_gap_us=1.0)
 CONFIG = KTilerConfig(launch_overhead_us=2.0)
 
 
-def _plan_work(app, workers=None, store=None) -> dict:
-    ktiler = KTiler(app.graph, SMALL_SPEC, CONFIG, workers=workers, store=store)
+def _plan_work(app, store=None) -> dict:
+    ktiler = KTiler(app.graph, SMALL_SPEC, CONFIG, store=store)
     return ktiler.plan().stats.work.as_dict()
 
 
@@ -99,17 +95,6 @@ class TestPlannerWork:
         # ping-pong's stencil reads do, exercising the frontier dicts.
         work = _plan_work(build_jacobi_pingpong(iters=3, size=64))
         assert work["frontier_updates"] > 0
-
-    @settings(max_examples=4, deadline=None)
-    @given(
-        shape=st.sampled_from(PROBE_SHAPES),
-        kernels=st.integers(min_value=4, max_value=12),
-    )
-    def test_work_invariant_across_workers(self, shape, kernels):
-        """The contract: bit-identical work for any worker count."""
-        app = build_probe_graph(shape, kernels=kernels)
-        oracle = _plan_work(app, workers=1)
-        assert _plan_work(app, workers=2) == oracle
 
     def test_work_survives_the_artifact_store(self, tmp_path):
         app = build_probe_graph("grid", kernels=9)

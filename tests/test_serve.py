@@ -109,6 +109,14 @@ class TestPlanEndpoint:
         assert err.value.code == "bad_request"
         assert "sim_backend" in str(err.value)
 
+    def test_workers_field_is_an_unknown_field_400(self, daemon, client):
+        with pytest.raises(ServeClientError) as err:
+            client.plan({**DEMO, "workers": 2})
+        assert err.value.status == 400
+        assert err.value.code == "bad_request"
+        assert "workers" in str(err.value)
+        assert daemon.service.tracer.metrics.total("serve.plans") == 0
+
     def test_distinct_frequencies_get_distinct_fingerprints(self, client):
         nominal = client.plan(DEMO)
         lowered = client.plan(
@@ -169,8 +177,7 @@ class TestErrorHandling:
             client = ServeClient(handle.url)
             with pytest.raises(ServeClientError) as err:
                 client.plan({"app": {"preset": "demo"}, "gpu": {}, "config": {},
-                             "freq": {}, "workers": 1,
-                             "planner_backend": "x" * 600})
+                             "freq": {}, "planner_backend": "x" * 600})
             assert err.value.status == 413
             assert err.value.code == "body_too_large"
         finally:
@@ -214,6 +221,34 @@ class TestErrorHandling:
             client.plan({"gpu": {"l2_bytes": -1}})
         assert err.value.status == 400
         assert err.value.code == "bad_value"
+
+    @pytest.mark.parametrize(
+        "gpu",
+        [
+            {"l2_kb": 0},
+            {"l2_bytes": 0},
+            {"l2_assoc": 0},
+            {"l2_assoc": -1},
+            {"schedulers_per_sm": 0},
+            {"mem_bus_bytes": 0},
+            {"mem_bus_bytes": -1},
+            {"dram_fixed_latency_ns": -1},
+            {"dram_freq_latency_ns": -1},
+            {"dram_ref_mhz": -1},
+            {"launch_gap_us": -1},
+        ],
+        ids=lambda gpu: "{}={}".format(*next(iter(gpu.items()))),
+    )
+    def test_impossible_gpu_spec_is_a_400_before_planning(
+        self, daemon, client, gpu
+    ):
+        """GpuSpec rejects these at construction, so the wire answers
+        400 ``bad_value`` and no planning job starts."""
+        with pytest.raises(ServeClientError) as err:
+            client.plan({**DEMO, "gpu": gpu})
+        assert err.value.status == 400
+        assert err.value.code == "bad_value"
+        assert daemon.service.tracer.metrics.total("serve.plans") == 0
 
     @pytest.mark.parametrize(
         "body, code",

@@ -12,8 +12,9 @@ produced it.  These tests attack that argument from three sides:
 * **corruption** — truncated, garbage, or wrong-version entries must
   fall back to a recompute with a ``RuntimeWarning``, never a crash or
   a wrong result;
-* **concurrency** — simultaneous writers of the same entry (parallel
-  workers, two CLI runs) must never produce a torn read.
+* **concurrency** — simultaneous writers of the same entry (two CLI
+  runs or two daemons sharing one cache directory) must never produce
+  a torn read.
 """
 
 from __future__ import annotations
