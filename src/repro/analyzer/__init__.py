@@ -1,7 +1,7 @@
 """KTILER block analyzer: instrumentation, dependencies, footprints (§IV-B)."""
 
 from repro.analyzer.dependency import build_block_graph
-from repro.analyzer.footprint import BlockMemoryLines, FootprintAccumulator
+from repro.analyzer.footprint import BlockMemoryLines
 from repro.analyzer.instrument import InstrumentedRun, run_instrumented
 
 __all__ = [
@@ -9,5 +9,4 @@ __all__ = [
     "InstrumentedRun",
     "build_block_graph",
     "BlockMemoryLines",
-    "FootprintAccumulator",
 ]

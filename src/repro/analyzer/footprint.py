@@ -8,14 +8,14 @@ argues conflict misses are largely avoided because discontiguities are
 fewer than the associativity).
 
 :class:`BlockMemoryLines` is the per-block line table the block
-analyzer hands to the scheduler; :class:`FootprintAccumulator` is the
-incremental union the ClusterTile heuristic uses so that repeated
-cache-constraint checks stay O(new lines) instead of O(all lines).
+analyzer hands to the scheduler; the ClusterTile heuristic
+(:mod:`repro.core.cluster_tile`) unions these sets round by round to
+check its cache constraint.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from repro.errors import GraphError
 from repro.gpusim.trace import BlockKey, MemoryTrace
@@ -67,58 +67,3 @@ class BlockMemoryLines:
 
     def footprint_bytes(self, keys: Iterable[BlockKey]) -> int:
         return self.footprint_lines(keys) * self.line_bytes
-
-
-class FootprintAccumulator:
-    """Incremental footprint with a byte budget (the cache size).
-
-    Supports the ClusterTile loop's pattern: repeatedly *try* to extend
-    the current round with a batch of blocks; a failed try leaves the
-    accumulated state untouched.
-    """
-
-    def __init__(self, table: BlockMemoryLines, budget_bytes: int):
-        if budget_bytes <= 0:
-            raise GraphError("footprint budget must be positive")
-        self.table = table
-        self.budget_lines = budget_bytes // table.line_bytes
-        self._lines: set = set()
-
-    @property
-    def footprint_lines(self) -> int:
-        return len(self._lines)
-
-    @property
-    def footprint_bytes(self) -> int:
-        return len(self._lines) * self.table.line_bytes
-
-    def try_add(self, keys: Iterable[BlockKey]) -> bool:
-        """Add blocks if the union still fits the budget.
-
-        Returns False — with no state change — when the batch would
-        overflow the cache budget.
-        """
-        current = self._lines
-        lines_of = self.table.lines_of
-        new_lines = set().union(*map(lines_of, keys))
-        new_lines -= current
-        if len(current) + len(new_lines) > self.budget_lines:
-            return False
-        current |= new_lines
-        return True
-
-    def would_fit(self, keys: Iterable[BlockKey]) -> bool:
-        """Non-mutating version of :meth:`try_add`."""
-        new_count = 0
-        current = self._lines
-        seen: set = set()
-        for key in keys:
-            for line in self.table.lines_of(key):
-                if line not in current and line not in seen:
-                    seen.add(line)
-                    new_count += 1
-        return len(current) + new_count <= self.budget_lines
-
-    def reset(self) -> None:
-        """Start a new tiling round."""
-        self._lines.clear()

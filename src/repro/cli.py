@@ -36,6 +36,7 @@ import time
 from typing import List, Optional
 
 from repro.core.fast_cluster import PLANNER_BACKEND_ENV_VAR, PLANNER_BACKENDS
+from repro.errors import ConfigurationError
 from repro.experiments import (
     cache_sweep,
     gap_sweep,
@@ -118,6 +119,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_spec(base: GpuSpec, args: argparse.Namespace) -> GpuSpec:
+    """The subcommand's base spec with the ``--l2-kb`` override applied.
+
+    Raises :class:`ConfigurationError` when the cache geometry cannot
+    hold that size (it must be a multiple of line size x associativity).
+    """
     if getattr(args, "l2_kb", None) is not None:
         return spec_with_l2(base, args.l2_kb * 1024)
     return base
@@ -194,7 +200,7 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
     tracer = _make_tracer(args)
     result = run_fig2(
         image_size=args.size,
-        spec=_resolve_spec(PAPER_SPEC, args),
+        spec=args.spec,
         tracer=tracer,
         store=_store(args, tracer),
     )
@@ -207,7 +213,7 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
     tracer = _make_tracer(args)
     result = run_fig3(
         image_size=args.size,
-        spec=_resolve_spec(PAPER_SPEC, args),
+        spec=args.spec,
         with_split_comparison=not args.no_split,
         tracer=tracer,
     )
@@ -230,7 +236,7 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
         frame_size=args.frame_size,
         levels=args.levels,
         jacobi_iters=args.iters,
-        spec=_resolve_spec(SCALED_SPEC, args),
+        spec=args.spec,
         check_functional=args.check_functional,
         tracer=tracer,
         store=_store(args, tracer),
@@ -244,7 +250,7 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
 def _cmd_suitability(args: argparse.Namespace) -> int:
     tracer = _make_tracer(args)
     result = run_suitability(
-        spec=_resolve_spec(PAPER_SPEC, args), tracer=tracer,
+        spec=args.spec, tracer=tracer,
     )
     print(result.format_table())
     _finish_obs(args, tracer)
@@ -329,7 +335,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     args.metrics = args.metrics or "metrics.prom"
     tracer = Tracer()
     app = _build_trace_app(args)
-    spec = _resolve_spec(SCALED_SPEC, args)
+    spec = args.spec
     print(app.graph.summary())
     ktiler = KTiler(
         app.graph,
@@ -377,7 +383,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
     tracer = _make_tracer(args)
     app = _preset_app(args)
-    spec = _resolve_spec(SCALED_SPEC, args)
+    spec = args.spec
     print(app.graph.summary())
     ktiler = KTiler(
         app.graph,
@@ -420,7 +426,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
     tracer = _make_tracer(args)
     app = _preset_app(args)
-    spec = _resolve_spec(SCALED_SPEC, args)
+    spec = args.spec
     freq_a = _diff_freq(args.gpu_mhz_a, args.mem_mhz_a)
     gpu_b, mem_b = args.gpu_mhz_b, args.mem_mhz_b
     if gpu_b is None and mem_b is None:
@@ -490,7 +496,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     # Planning must actually run for a profile to mean anything, so the
     # artifact cache is never consulted here (no --cache-dir effect).
     tracer = Tracer()
-    spec = _resolve_spec(SCALED_SPEC, args)
+    spec = args.spec
     engine = None if args.engine == "none" else args.engine
     app = _preset_app(args)
     print(app.graph.summary())
@@ -801,14 +807,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fig2", help="profiler metrics, default vs 1/32 tiled")
     p.add_argument("--size", type=int, default=512, help="Jacobi image side")
     _add_common(p)
-    p.set_defaults(func=_cmd_fig2)
+    p.set_defaults(func=_cmd_fig2, spec_base=PAPER_SPEC)
 
     p = sub.add_parser("fig3", help="Jacobi throughput vs grid size")
     p.add_argument("--size", type=int, default=512, help="Jacobi image side")
     p.add_argument("--no-split", action="store_true",
                    help="skip the 4x250-block split comparison")
     _add_common(p)
-    p.set_defaults(func=_cmd_fig3)
+    p.set_defaults(func=_cmd_fig3, spec_base=PAPER_SPEC)
 
     p = sub.add_parser("fig4", help="HSOpticalFlow graph census")
     p.add_argument("--frame-size", type=int, default=256)
@@ -823,11 +829,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-functional", action="store_true",
                    help="also verify tiled output == default output")
     _add_common(p)
-    p.set_defaults(func=_cmd_fig5)
+    p.set_defaults(func=_cmd_fig5, spec_base=SCALED_SPEC)
 
     p = sub.add_parser("suitability", help="section II kernel study")
     _add_common(p)
-    p.set_defaults(func=_cmd_suitability)
+    p.set_defaults(func=_cmd_suitability, spec_base=PAPER_SPEC)
 
     p = sub.add_parser("ablation", help="design-knob sweeps")
     p.add_argument("knob", choices=("threshold", "cache", "gap"))
@@ -853,7 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=5,
                    help="Jacobi iterations (hsopticalflow, jacobi)")
     _add_common(p)
-    p.set_defaults(func=_cmd_trace)
+    p.set_defaults(func=_cmd_trace, spec_base=SCALED_SPEC)
 
     p = sub.add_parser(
         "explain",
@@ -868,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--html", metavar="PATH", default="audit.html",
                    help="self-contained HTML report output path")
     _add_common(p)
-    p.set_defaults(func=_cmd_explain)
+    p.set_defaults(func=_cmd_explain, spec_base=SCALED_SPEC)
 
     p = sub.add_parser(
         "diff",
@@ -903,7 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="exit 2 when the plans diverge")
     _add_common(p)
-    p.set_defaults(func=_cmd_diff)
+    p.set_defaults(func=_cmd_diff, spec_base=SCALED_SPEC)
 
     p = sub.add_parser(
         "profile",
@@ -953,7 +959,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="exit 2 on exponent drift (default: advisory)")
     _add_common(p)
-    p.set_defaults(func=_cmd_profile)
+    p.set_defaults(func=_cmd_profile, spec_base=SCALED_SPEC)
 
     p = sub.add_parser(
         "serve",
@@ -1085,7 +1091,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # Subcommands that simulate a device declare its base spec; resolve
+    # it here, before any app is built, so a size the L2 geometry cannot
+    # hold is a usage error rather than a traceback.
+    spec_base = getattr(args, "spec_base", None)
+    if spec_base is not None:
+        try:
+            args.spec = _resolve_spec(spec_base, args)
+        except ConfigurationError as exc:
+            parser.error(f"argument --l2-kb: {exc}")
     start = time.time()
     code = args.func(args)
     print(f"[{time.time() - start:.1f}s]", file=sys.stderr)

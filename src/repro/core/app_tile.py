@@ -25,7 +25,12 @@ from typing import Dict, FrozenSet, List, Optional
 
 from repro.analyzer.footprint import BlockMemoryLines
 from repro.core.cluster import Partition
-from repro.core.cluster_tile import ClusterTiling, cluster_tile
+from repro.core.cluster_tile import (
+    ClusterStructure,
+    ClusterTiling,
+    cost_structure,
+    tile_structure,
+)
 from repro.core.fast_cluster import make_partition
 from repro.core.perftable import PerfTableSet
 from repro.core.schedule import Schedule
@@ -112,6 +117,7 @@ def application_tile(
     max_cluster_nodes: Optional[int] = None,
     tracer=NULL_TRACER,
     planner_backend: Optional[str] = None,
+    structures: Optional[Dict[FrozenSet[int], ClusterStructure]] = None,
 ) -> TilingResult:
     """Algorithm 1.
 
@@ -126,6 +132,14 @@ def application_tile(
     :mod:`repro.core.fast_cluster`); both make identical merge
     decisions by contract, differing only in the validity-family work
     counters.
+
+    ``structures`` memoizes Algorithm 2's frequency-independent pass
+    (:func:`~repro.core.cluster_tile.tile_structure`) by node set across
+    calls that share the graph, block graph, memory lines, cache size
+    and ``include_anti`` — :class:`~repro.core.ktiler.KTiler` passes
+    one per instance.  A structure found there is only re-costed; the
+    evaluation still charges its full work and emits its ``tile.*``
+    events, exactly like a fresh tiling.
 
     With tracing enabled, every merge decision is emitted as a
     ``sched.merge`` instant event carrying the candidate edge, its
@@ -164,6 +178,8 @@ def application_tile(
             reason="threshold",
         )
     tiling_memo: Dict[FrozenSet[int], Optional[ClusterTiling]] = {}
+    if structures is None:
+        structures = {}
     trace_on = tracer.enabled
 
     index = 0
@@ -232,16 +248,18 @@ def application_tile(
             with tracer.span(
                 "tile.cluster", cat="scheduler", nodes=len(merged_nodes)
             ):
-                tiling = cluster_tile(
-                    merged_nodes,
-                    graph,
-                    block_graph,
-                    mem_lines,
-                    perf_tables,
-                    cache_bytes,
-                    launch_overhead_us=launch_overhead_us,
-                    include_anti=include_anti,
-                    tracer=tracer,
+                structure = structures.get(merged_nodes)
+                if structure is None:
+                    structure = structures[merged_nodes] = tile_structure(
+                        merged_nodes,
+                        graph,
+                        block_graph,
+                        mem_lines,
+                        cache_bytes,
+                        include_anti=include_anti,
+                    )
+                tiling = cost_structure(
+                    structure, perf_tables, launch_overhead_us, tracer
                 )
             tiling_memo[merged_nodes] = tiling
             _charge_work(stats, tiling, ledger, tracer, trace_on)

@@ -21,19 +21,34 @@ performance tables, looked up by grid size and in-cluster input
 combination) are added to the cluster cost, and a new round begins.
 A round that cannot make progress means the cluster is untileable:
 cost = infinity (``None`` is returned).
+
+The heuristic runs as two passes.  :func:`tile_structure` walks the
+blocks over the integer ids of
+:class:`~repro.graph.block_graph.BlockIdView` and returns a
+:class:`ClusterStructure`: rounds, sub-kernels, footprints, ledger
+events and structural work — everything that depends on the node set,
+the block graph, the memory lines, the L2 size and the dependency
+variant, and nothing that depends on the operating point.
+:func:`cost_structure` prices a structure at one operating point: it
+queries the performance tables sub-kernel by sub-kernel in freeze order
+(so the float summation order and the query count are those of a single
+pass) and emits the ``tile.*`` trace instants and metrics.
+:class:`~repro.core.ktiler.KTiler` keeps the structure of every cluster
+it has tiled and only re-costs it at each DVFS point;
+:func:`cluster_tile` runs both passes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple, Union
 
-from repro.analyzer.footprint import BlockMemoryLines, FootprintAccumulator
+from repro.analyzer.footprint import BlockMemoryLines
 from repro.core.perftable import PerfTableSet
 from repro.core.subkernel import SubKernel
 from repro.core.work import PlannerWork
-from repro.errors import TilingError
-from repro.gpusim.trace import BlockKey
+from repro.errors import GraphError, TilingError
 from repro.graph.block_graph import BlockDependencyGraph
 from repro.graph.kernel_graph import KernelGraph
 from repro.obs.decisions import frontier_digest
@@ -69,103 +84,47 @@ class ClusterTiling:
         return len(self.subkernels)
 
 
-class ReadinessFrontier:
-    """Incremental per-block count of uncovered in-cluster predecessors.
+class DroppedBatch(NamedTuple):
+    """A batch the cache constraint rejected (one ``tile.drop`` instant)."""
 
-    The top-down round asks, per candidate block, "are all in-cluster
-    dependencies covered?".  Rescanning the predecessor list per
-    candidate per round is the O(preds) cost FindMoreBlks used to pay;
-    this frontier keeps the counts incrementally instead: initialized
-    lazily on first query, decremented as coverage grows (every batch
-    append), incremented when it shrinks (a batch dropped by the cache
-    constraint).
+    round: int
+    blocks: int
+    footprint_bytes: int
 
-    Work accounting: every lazy initialization and every cover/uncover
-    adjustment of a tracked count charges one ``frontier_updates``.
-    :meth:`recompute` / :meth:`validate` are the from-scratch oracle —
-    they charge nothing, so audits cannot perturb the counters
-    (``tests/test_cluster_tile_properties.py`` drives them through the
-    dropped-batch path).
+
+class FrozenRound(NamedTuple):
+    """One frozen tiling round: its ``tile_round`` ledger event and its
+    launches, each ``(sub-kernel, kernel spec, in-cluster input combo)``."""
+
+    event: Dict
+    launches: Tuple[Tuple[SubKernel, object, FrozenSet[str]], ...]
+
+
+@dataclass(frozen=True)
+class ClusterStructure:
+    """The frequency-independent outcome of Algorithm 2 for one cluster.
+
+    ``steps`` lists, in the order the pass met them, the batches the
+    cache constraint dropped and the rounds it froze.  An untileable
+    cluster (``tileable`` false) keeps the steps before that verdict,
+    because pricing them is what a single pass did (and what lazily
+    profiled performance tables observe).  ``work`` holds the
+    structural counters (every ``PlannerWork`` field but
+    ``perftable_queries``, which the cost pass charges).
+
+    Immutable and shared: a :class:`~repro.core.ktiler.KTiler` prices
+    the same structure at every operating point, and each pricing gets
+    its own ``PlannerWork``.  The sub-kernels and ledger event dicts
+    are shared by every tiling priced from it; the events must not be
+    mutated (the run ledger copies them).
     """
 
-    def __init__(
-        self,
-        block_graph: BlockDependencyGraph,
-        node_set: Set[int],
-        include_anti: bool,
-        work: PlannerWork,
-    ):
-        self._block_graph = block_graph
-        self._node_set = node_set
-        self._include_anti = include_anti
-        self._work = work
-        self._missing: Dict[BlockKey, int] = {}
-
-    def _predecessors(self, key: BlockKey):
-        if self._include_anti:
-            return self._block_graph.all_predecessors(key)
-        return self._block_graph.producers(key)
-
-    def _successors(self, key: BlockKey):
-        if self._include_anti:
-            return self._block_graph.consumers(key) + self._block_graph.anti_consumers(
-                key
-            )
-        return self._block_graph.consumers(key)
-
-    def missing_count(self, key: BlockKey, covered) -> int:
-        """Uncovered in-cluster predecessors of ``key`` (lazy init).
-
-        ``covered`` is the caller's coverage predicate over block keys.
-        """
-        count = self._missing.get(key)
-        if count is None:
-            count = sum(
-                1
-                for p in self._predecessors(key)
-                if p[0] in self._node_set and not covered(p)
-            )
-            self._missing[key] = count
-            self._work.frontier_updates += 1
-        return count
-
-    def note_covered(self, key: BlockKey) -> None:
-        missing = self._missing
-        for succ in self._successors(key):
-            if succ in missing:
-                missing[succ] -= 1
-                self._work.frontier_updates += 1
-
-    def note_uncovered(self, key: BlockKey) -> None:
-        missing = self._missing
-        for succ in self._successors(key):
-            if succ in missing:
-                missing[succ] += 1
-                self._work.frontier_updates += 1
-
-    def recompute(self, covered) -> Dict[BlockKey, int]:
-        """From-scratch counts for every tracked block (the audit oracle)."""
-        return {
-            key: sum(
-                1
-                for p in self._predecessors(key)
-                if p[0] in self._node_set and not covered(p)
-            )
-            for key in self._missing
-        }
-
-    def validate(self, covered) -> None:
-        """Raise :class:`TilingError` if any incremental count drifted."""
-        expected = self.recompute(covered)
-        if expected != self._missing:
-            drift = {
-                key: (self._missing[key], expected[key])
-                for key in expected
-                if expected[key] != self._missing[key]
-            }
-            raise TilingError(
-                f"readiness frontier out of sync (incremental, expected): {drift}"
-            )
+    nodes: FrozenSet[int]
+    label: str
+    cache_bytes: int
+    steps: Tuple[Union[DroppedBatch, FrozenRound], ...]
+    tileable: bool
+    work: Tuple[Tuple[str, int], ...]
 
 
 def in_cluster_input_combo(
@@ -214,117 +173,61 @@ def cluster_tile(
     under ``tile.*`` in ``tracer.metrics``.
 
     ``audit_frontier`` cross-checks the incremental readiness frontier
-    against a from-scratch recomputation after every committed batch
-    and every dropped one (test/debug only — O(blocks × preds) per
-    check, charges no work).
+    against a from-scratch recount after every committed batch and
+    every dropped one (test/debug only — O(blocks × preds) per check,
+    charges no work).
     """
-    node_set: Set[int] = set(cluster_nodes)
-    if not node_set:
-        raise TilingError("cannot tile an empty cluster")
-    nodes = sorted(node_set)  # insertion order == topological order
-    totals: Dict[int, int] = {v: graph.node(v).num_blocks for v in nodes}
-    total_blocks = sum(totals.values())
-    combos = {v: in_cluster_input_combo(graph, v, node_set) for v in nodes}
-    sinks = cluster_sinks(graph, node_set)
+    structure = tile_structure(
+        cluster_nodes,
+        graph,
+        block_graph,
+        mem_lines,
+        cache_bytes,
+        include_anti=include_anti,
+        audit_frontier=audit_frontier,
+    )
+    return cost_structure(structure, perf_tables, launch_overhead_us, tracer)
 
-    assigned: Set[BlockKey] = set()
-    current: Set[BlockKey] = set()  # toBeAssigned, committed to this round
-    current_per_node: Dict[int, List[int]] = {v: [] for v in nodes}
-    cursors: Dict[int, int] = {v: 0 for v in nodes}
-    acc = FootprintAccumulator(mem_lines, cache_bytes)
-    work = PlannerWork()
 
+def cost_structure(
+    structure: ClusterStructure,
+    perf_tables: PerfTableSet,
+    launch_overhead_us: float = 0.0,
+    tracer=NULL_TRACER,
+) -> Optional[ClusterTiling]:
+    """Price a cluster structure at the performance tables' operating point.
+
+    Replays the structure's steps in order: each dropped batch emits its
+    ``tile.drop`` instant, each frozen round its ``tile.round`` instant
+    and then one performance-table query per sub-kernel.  Returns
+    ``None`` for an untileable structure, after the same replay.
+    """
+    work = PlannerWork(**dict(structure.work))
+    trace_on = tracer.enabled
+    label = structure.label
+    cost_us = 0.0
     subkernels: List[SubKernel] = []
     ledger_events: List[Dict] = []
-    cost_us = 0.0
-    rounds = 0
-
-    def next_free_block(v: int, staged: Set[BlockKey]) -> Optional[int]:
-        cursor = cursors[v]
-        total = totals[v]
-        while cursor < total and (
-            (v, cursor) in assigned or (v, cursor) in current or (v, cursor) in staged
-        ):
-            cursor += 1
-        cursors[v] = cursor
-        return cursor if cursor < total else None
-
-    def collect_dependencies(seeds: Sequence[BlockKey], staged: Set[BlockKey]) -> List[BlockKey]:
-        """FindAllDeps: in-cluster transitive deps not yet covered."""
-        found: List[BlockKey] = []
-        stack = list(seeds)
-        while stack:
-            key = stack.pop()
-            preds = (
-                block_graph.all_predecessors(key)
-                if include_anti
-                else block_graph.producers(key)
-            )
-            for pred in preds:
-                if (
-                    pred in staged
-                    or pred in assigned
-                    or pred in current
-                    or pred[0] not in node_set
-                ):
-                    continue
-                staged.add(pred)
-                work.blocks_visited += 1
-                note_covered(pred)
-                found.append(pred)
-                stack.append(pred)
-        return found
-
-    def covered(key: BlockKey, staged: Set[BlockKey]) -> bool:
-        return key in assigned or key in current or key in staged
-
-    frontier = ReadinessFrontier(block_graph, node_set, include_anti, work)
-    note_covered = frontier.note_covered
-    note_uncovered = frontier.note_uncovered
-
-    def find_ready(seeds: Sequence[BlockKey], staged: Set[BlockKey]) -> List[BlockKey]:
-        """FindMoreBlks: blocks whose in-cluster deps are all covered."""
-        found: List[BlockKey] = []
-        queue = list(seeds)
-        is_covered = lambda k: covered(k, staged)  # noqa: E731
-        while queue:
-            key = queue.pop()
-            for consumer in block_graph.consumers(key):
-                if consumer[0] not in node_set or covered(consumer, staged):
-                    continue
-                if frontier.missing_count(consumer, is_covered) == 0:
-                    staged.add(consumer)
-                    work.blocks_visited += 1
-                    note_covered(consumer)
-                    found.append(consumer)
-                    queue.append(consumer)
-        return found
-
-    cluster_label = f"c{min(node_set)}"
-
-    def flush_round() -> bool:
-        """Freeze `current` into sub-kernels; True if anything was frozen."""
-        nonlocal cost_us, rounds
-        if not current:
-            return False
-        # Ledger entry first (always — the ledger is part of the plan,
-        # not of tracing), built before `current` is cleared; the
-        # `tile.round` trace instant below derives from it so the two
-        # can never disagree.
-        footprint = acc.footprint_bytes
-        event = {
-            "kind": "tile_round",
-            "cluster": cluster_label,
-            "round": rounds,
-            "blocks": len(current),
-            "nodes": sum(1 for v in nodes if current_per_node[v]),
-            "footprint_bytes": footprint,
-            "cache_bytes": cache_bytes,
-            "l2_occupancy": round(footprint / cache_bytes, 6),
-            "frontier_digest": frontier_digest(current),
-        }
+    for step in structure.steps:
+        if isinstance(step, DroppedBatch):
+            if trace_on:
+                tracer.instant(
+                    "tile.drop",
+                    cat="tiler",
+                    cluster=label,
+                    round=step.round,
+                    blocks=step.blocks,
+                    footprint_bytes=step.footprint_bytes,
+                    cache_bytes=structure.cache_bytes,
+                )
+                tracer.metrics.inc("tile.drops", 1, cluster=label)
+                tracer.metrics.inc("tile.dropped_blocks", step.blocks, cluster=label)
+            continue
+        event = step.event
         ledger_events.append(event)
-        if tracer.enabled:
+        if trace_on:
+            # The trace instant derives from the ledger entry, so the
+            # two can never disagree.
             tracer.instant(
                 "tile.round",
                 cat="tiler",
@@ -336,117 +239,291 @@ def cluster_tile(
                 cache_bytes=event["cache_bytes"],
                 l2_occupancy=event["l2_occupancy"],
             )
-            tracer.metrics.inc("tile.rounds", 1, cluster=cluster_label)
-            tracer.metrics.inc("tile.blocks", len(current), cluster=cluster_label)
+            tracer.metrics.inc("tile.rounds", 1, cluster=label)
+            tracer.metrics.inc("tile.blocks", event["blocks"], cluster=label)
             tracer.metrics.set_gauge(
-                "tile.l2_occupancy", footprint / cache_bytes, cluster=cluster_label
+                "tile.l2_occupancy",
+                event["footprint_bytes"] / event["cache_bytes"],
+                cluster=label,
             )
-        for v in nodes:
-            blocks = current_per_node[v]
-            if not blocks:
-                continue
-            sub = SubKernel(
-                node_id=v,
-                blocks=tuple(sorted(blocks)),
-                label=f"{graph.node(v).name}/r{rounds}",
-            )
+        for sub, kernel, combo in step.launches:
             subkernels.append(sub)
             cost_us += (
-                perf_tables.time(
-                    graph.node(v).kernel, combos[v], sub.num_blocks, work=work
-                )
+                perf_tables.time(kernel, combo, sub.num_blocks, work=work)
                 + launch_overhead_us
             )
-            blocks.clear()
-        assigned.update(current)
+    if not structure.tileable:
+        return None
+    return ClusterTiling(
+        nodes=structure.nodes,
+        subkernels=tuple(subkernels),
+        cost_us=cost_us,
+        rounds=len(ledger_events),
+        work=work,
+        ledger_events=tuple(ledger_events),
+    )
+
+
+def tile_structure(
+    cluster_nodes: Iterable[int],
+    graph: KernelGraph,
+    block_graph: BlockDependencyGraph,
+    mem_lines: BlockMemoryLines,
+    cache_bytes: int,
+    include_anti: bool = True,
+    audit_frontier: bool = False,
+) -> ClusterStructure:
+    """The block-level pass of Algorithm 2 (see :func:`cluster_tile`).
+
+    Per-call state is indexed by block id:
+
+    * ``busy`` — 1 for a block outside the cluster or covered (staged,
+      in the current round or assigned to a frozen one), 0 for a free
+      in-cluster block, so every "skip this block" test is one lookup;
+    * ``missing`` — the readiness frontier: a block's uncovered
+      in-cluster predecessors, -1 while untracked.  A count is
+      initialized on first query and then adjusted on every cover and
+      uncover; each initialization and each adjustment of a tracked
+      count charges one ``frontier_updates``;
+    * the round's footprint, a set of line ids.  A rejected batch
+      leaves lines in it, but a rejection always freezes or abandons
+      the round, which starts the next round from an empty set; the
+      committed line count is kept apart for the ledger.
+
+    The visiting order is that of the paper's pseudo-code: LIFO stacks
+    for the dependency closure and the readiness walk, RAW consumers
+    only in the readiness walk.  A block whose last missing predecessor
+    is covered through an anti-dependency is not re-checked there, so
+    the result depends on this order.
+    """
+    node_set: Set[int] = set(cluster_nodes)
+    if not node_set:
+        raise TilingError("cannot tile an empty cluster")
+    nodes = sorted(node_set)  # insertion order == topological order
+    members = [graph.node(v) for v in nodes]
+    totals = [node.num_blocks for node in members]
+    total_blocks = sum(totals)
+    combos = [in_cluster_input_combo(graph, v, node_set) for v in nodes]
+    sinks = cluster_sinks(graph, node_set)
+    if cache_bytes <= 0:
+        raise GraphError("footprint budget must be positive")
+    line_bytes = mem_lines.line_bytes
+    budget_lines = cache_bytes // line_bytes
+
+    view = block_graph.id_view(include_anti)
+    preds = view.preds
+    succs = view.succs
+    num_consumers = view.num_consumers
+    starts = []
+    busy = bytearray(b"\x01") * view.num_blocks
+    lines_of: List[Optional[FrozenSet[int]]] = [None] * view.num_blocks
+    for v, total in zip(nodes, totals):
+        if v >= len(view.sizes) or view.sizes[v] != total:
+            raise GraphError(f"block graph does not hold the {total} blocks of node {v}")
+        lo = view.base[v]
+        starts.append(lo)
+        busy[lo : lo + total] = bytes(total)
+        lines_of[lo : lo + total] = [mem_lines.lines_of((v, b)) for b in range(total)]
+    missing = [-1] * view.num_blocks
+    sink_indices = [nodes.index(v) for v in sinks]
+    cursors = list(starts)
+    ends = [lo + total for lo, total in zip(starts, totals)]
+
+    def node_index(block: int) -> int:
+        return bisect_right(starts, block) - 1
+
+    def cover(block: int) -> int:
+        """Mark ``block`` covered in the frontier; returns adjustments."""
+        adjusted = 0
+        for succ in succs[block]:
+            if missing[succ] >= 0:
+                missing[succ] -= 1
+                adjusted += 1
+        return adjusted
+
+    def uncover(block: int) -> int:
+        adjusted = 0
+        for succ in succs[block]:
+            if missing[succ] >= 0:
+                missing[succ] += 1
+                adjusted += 1
+        return adjusted
+
+    def audit() -> None:
+        """Recount every tracked block from scratch (charges nothing)."""
+        drift = {}
+        for block, count in enumerate(missing):
+            if count >= 0:
+                expected = sum(1 for p in preds[block] if not busy[p])
+                if expected != count:
+                    i = node_index(block)
+                    drift[(nodes[i], block - starts[i])] = (count, expected)
+        if drift:
+            raise TilingError(
+                f"readiness frontier out of sync (incremental, expected): {drift}"
+            )
+
+    def next_free_block(i: int) -> int:
+        """Lowest free block of ``nodes[i]``, or -1 when none is left."""
+        block = cursors[i]
+        end = ends[i]
+        while block < end and busy[block]:
+            block += 1
+        cursors[i] = block
+        return block if block < end else -1
+
+    label = f"c{min(node_set)}"
+    current: List[int] = []  # toBeAssigned: block ids committed to this round
+    footprint: Set[int] = set()
+    footprint_lines = 0
+    assigned = 0
+    rounds = 0
+    steps: List[Union[DroppedBatch, FrozenRound]] = []
+    blocks_visited = footprint_unions = lines_admitted = frontier_updates = 0
+
+    def flush_round() -> bool:
+        """Freeze ``current`` into sub-kernels; True if anything was frozen."""
+        nonlocal assigned, rounds, footprint_lines
+        if not current:
+            return False
+        current.sort()
+        launches = []
+        lo_index = 0
+        for i, v in enumerate(nodes):
+            hi_index = bisect_left(current, ends[i], lo_index)
+            if hi_index > lo_index:
+                start = starts[i]
+                sub = SubKernel(
+                    node_id=v,
+                    blocks=tuple([b - start for b in current[lo_index:hi_index]]),
+                    label=f"{members[i].name}/r{rounds}",
+                )
+                launches.append((sub, members[i].kernel, combos[i]))
+                lo_index = hi_index
+        footprint_bytes = footprint_lines * line_bytes
+        event = {
+            "kind": "tile_round",
+            "cluster": label,
+            "round": rounds,
+            "blocks": len(current),
+            "nodes": len(launches),
+            "footprint_bytes": footprint_bytes,
+            "cache_bytes": cache_bytes,
+            "l2_occupancy": round(footprint_bytes / cache_bytes, 6),
+            "frontier_digest": frontier_digest(
+                (sub.node_id, b) for sub, _, _ in launches for b in sub.blocks
+            ),
+        }
+        steps.append(FrozenRound(event, tuple(launches)))
+        assigned += len(current)
         current.clear()
-        acc.reset()
+        footprint.clear()
+        footprint_lines = 0
         rounds += 1
         return True
 
-    while len(assigned) < total_blocks:
-        staged: Set[BlockKey] = set()
-        batch: List[BlockKey] = []
+    def structure(tileable: bool) -> ClusterStructure:
+        return ClusterStructure(
+            nodes=frozenset(node_set),
+            label=label,
+            cache_bytes=cache_bytes,
+            steps=tuple(steps),
+            tileable=tileable,
+            work=(
+                ("blocks_visited", blocks_visited),
+                ("footprint_unions", footprint_unions),
+                ("footprint_lines", lines_admitted),
+                ("frontier_updates", frontier_updates),
+            ),
+        )
+
+    while assigned < total_blocks:
+        batch: List[int] = []
         # --- bottom-up round -----------------------------------------
-        for v in sinks:
-            bid = next_free_block(v, staged)
-            if bid is not None:
-                key = (v, bid)
-                staged.add(key)
-                work.blocks_visited += 1
-                note_covered(key)
-                batch.append(key)
-        if not batch:
+        picks = [next_free_block(i) for i in sink_indices]
+        if max(picks, default=-1) < 0:
             # Sinks exhausted; pick up stragglers from inner nodes so the
             # sub-kernels still partition every member kernel's blocks.
-            for v in nodes:
-                bid = next_free_block(v, staged)
-                if bid is not None:
-                    key = (v, bid)
-                    staged.add(key)
-                    work.blocks_visited += 1
-                    note_covered(key)
-                    batch.append(key)
+            picks = []
+            for i in range(len(nodes)):
+                block = next_free_block(i)
+                if block >= 0:
+                    picks.append(block)
                     break
+        for block in picks:
+            if block >= 0:
+                busy[block] = 1
+                blocks_visited += 1
+                frontier_updates += cover(block)
+                batch.append(block)
         if not batch:
             # Everything is gathered; freeze the final round.
             flush_round()
             break
-        batch.extend(collect_dependencies(batch, staged))
-        # --- top-down round ------------------------------------------
-        batch.extend(find_ready(batch, staged))
+        # FindAllDeps: in-cluster transitive dependencies not yet covered.
+        stack = list(batch)
+        while stack:
+            for pred in preds[stack.pop()]:
+                if busy[pred]:
+                    continue
+                busy[pred] = 1
+                blocks_visited += 1
+                frontier_updates += cover(pred)
+                batch.append(pred)
+                stack.append(pred)
+        # --- top-down round: FindMoreBlks ----------------------------
+        stack = list(batch)
+        while stack:
+            block = stack.pop()
+            consumers = succs[block]
+            if num_consumers[block] != len(consumers):
+                consumers = consumers[: num_consumers[block]]
+            for consumer in consumers:
+                if busy[consumer]:
+                    continue
+                count = missing[consumer]
+                if count < 0:
+                    count = 0
+                    for pred in preds[consumer]:
+                        if not busy[pred]:
+                            count += 1
+                    missing[consumer] = count
+                    frontier_updates += 1
+                if count == 0:
+                    busy[consumer] = 1
+                    blocks_visited += 1
+                    frontier_updates += cover(consumer)
+                    batch.append(consumer)
+                    stack.append(consumer)
         # --- cache constraint (line 13) ------------------------------
-        work.footprint_unions += 1
-        lines_before = acc.footprint_lines
-        if acc.try_add(batch):
-            work.footprint_lines += acc.footprint_lines - lines_before
-            current.update(batch)
-            for v, bid in batch:
-                current_per_node[v].append(bid)
+        footprint_unions += 1
+        footprint.update(*map(lines_of.__getitem__, batch))
+        if len(footprint) <= budget_lines:
+            lines_admitted += len(footprint) - footprint_lines
+            footprint_lines = len(footprint)
+            current.extend(batch)
             if audit_frontier:
-                frontier.validate(lambda k: k in assigned or k in current)
+                audit()
         else:
-            if tracer.enabled:
-                tracer.instant(
-                    "tile.drop",
-                    cat="tiler",
-                    cluster=cluster_label,
-                    round=rounds,
-                    blocks=len(batch),
-                    footprint_bytes=acc.footprint_bytes,
-                    cache_bytes=cache_bytes,
-                )
-                tracer.metrics.inc("tile.drops", 1, cluster=cluster_label)
-                tracer.metrics.inc(
-                    "tile.dropped_blocks", len(batch), cluster=cluster_label
-                )
+            steps.append(DroppedBatch(rounds, len(batch), footprint_lines * line_bytes))
             if not flush_round():
                 # Not a single new sub-kernel could be formed: untileable.
-                return None
-            # The failed batch is dropped; its blocks are still
-            # unassigned and will be re-gathered next iteration.  Only
-            # the dropped blocks became uncovered, so only their nodes'
-            # cursors can point past a free block: rewind each to the
-            # lowest dropped block instead of rescanning every node
-            # from 0 (every block below that is still assigned or
-            # current, so the next pick is bit-identical).
-            for key in batch:
-                note_uncovered(key)
-                v, bid = key
-                if bid < cursors[v]:
-                    cursors[v] = bid
+                return structure(tileable=False)
+            # The failed batch is dropped; its blocks are free again and
+            # will be re-gathered next iteration.  Only the dropped
+            # blocks became free, so only their nodes' cursors can point
+            # past a free block: rewind each to the lowest dropped block.
+            for block in batch:
+                frontier_updates += uncover(block)
+                busy[block] = 0
+                i = node_index(block)
+                if block < cursors[i]:
+                    cursors[i] = block
             if audit_frontier:
-                frontier.validate(lambda k: k in assigned or k in current)
+                audit()
 
-    if len(assigned) != total_blocks:
+    if assigned != total_blocks:
         raise TilingError(
-            f"cluster tiling lost blocks: {len(assigned)}/{total_blocks}"
+            f"cluster tiling lost blocks: {assigned}/{total_blocks}"
         )
-    return ClusterTiling(
-        nodes=frozenset(node_set),
-        subkernels=tuple(subkernels),
-        cost_us=cost_us,
-        rounds=rounds,
-        work=work,
-        ledger_events=tuple(ledger_events),
-    )
+    return structure(tileable=True)

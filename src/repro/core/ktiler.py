@@ -10,7 +10,9 @@ Wires the whole pipeline together:
 4. run the two-phase scheduler (Algorithms 1 and 2).
 
 Steps 1-3 are frequency-independent (the trace and cache behaviour do
-not depend on DVFS state), so one :class:`KTiler` instance can produce
+not depend on DVFS state), and so is Algorithm 2's block-level tiling of
+a cluster: only its cost changes with the operating point.  One
+:class:`KTiler` instance therefore keeps all of them and can produce
 schedules for many operating points cheaply — exactly what the Figure 5
 experiment needs.
 """
@@ -18,13 +20,14 @@ experiment needs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.analyzer.dependency import build_block_graph
 from repro.analyzer.footprint import BlockMemoryLines
 from repro.analyzer.instrument import InstrumentedRun, run_instrumented
 from repro.core.app_tile import TilingResult, application_tile
+from repro.core.cluster_tile import ClusterStructure
 from repro.core.fast_cluster import resolve_planner_backend
 from repro.core.profiler import (
     DEFAULT_GRID_FRACTIONS,
@@ -104,6 +107,11 @@ class KTiler:
         self._run: Optional[InstrumentedRun] = None
         self._block_graph: Optional[BlockDependencyGraph] = None
         self._mem_lines: Optional[BlockMemoryLines] = None
+        # Algorithm 2 structures by node set: every plan of this
+        # instance shares graph, block graph, lines, L2 size and
+        # include_anti, so a cluster tiled at one operating point is
+        # only re-costed at the next.
+        self._structures: Dict[FrozenSet[int], ClusterStructure] = {}
         self._plans: Dict[FrequencyConfig, TilingResult] = {}
 
     # ------------------------------------------------------------------
@@ -248,6 +256,7 @@ class KTiler:
                 max_cluster_nodes=self.config.max_cluster_nodes,
                 tracer=self.tracer,
                 planner_backend=self.planner_backend,
+                structures=self._structures,
             )
             result.schedule.validate(
                 self.graph, self.block_graph, include_anti=self.config.include_anti

@@ -12,6 +12,7 @@ GDDR5 on a 128-bit bus).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
@@ -38,6 +39,11 @@ _POSITIVE_FIELDS = (
     "l2_assoc",
     "mem_bus_bytes",
 )
+
+#: Fields that count something discrete: only a true integer describes a
+#: device (``2.5`` SMs or a ``2.0``-way cache would fail deep inside a
+#: simulation instead of here).
+_INTEGER_FIELDS = _POSITIVE_FIELDS + ("l2_hit_latency_cycles",)
 
 #: Latencies, the DRAM reference frequency and the launch gap: zero is a
 #: valid idealization, a negative value is not (the rules
@@ -106,6 +112,12 @@ class GpuSpec:
     def __post_init__(self) -> None:
         # Every field is checked here, up front, so a bad spec fails at
         # construction instead of deep inside a simulation.
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                )
         for name in _POSITIVE_FIELDS:
             if getattr(self, name) <= 0:
                 raise ConfigurationError(

@@ -17,10 +17,70 @@ block keys ``(node_id, block_id)``:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 from repro.errors import GraphError
 from repro.gpusim.trace import BlockKey
+
+
+class BlockIdView:
+    """Integer view of a block graph: block ``(v, b)`` is id ``base[v] + b``.
+
+    Ids of one node are contiguous and follow its block ids, and nodes
+    follow their node ids, so sorting ids sorts ``(node, block)`` keys.
+    Per block id the view keeps:
+
+    * ``preds`` — predecessor ids in :meth:`BlockDependencyGraph.all_predecessors`
+      order (:meth:`~BlockDependencyGraph.producers` order when built
+      without anti-dependencies);
+    * ``succs`` — successor ids: RAW consumers in
+      :meth:`~BlockDependencyGraph.consumers` order, then (with
+      anti-dependencies) the anti-consumers;
+    * ``num_consumers`` — how many leading ``succs`` are RAW consumers.
+
+    ``sizes[v]`` is node ``v``'s block count, or -1 when the graph does
+    not hold all of blocks ``0 .. max`` of that node.  Built once per
+    graph and dependency variant by :meth:`BlockDependencyGraph.id_view`;
+    read-only after that.
+    """
+
+    __slots__ = ("base", "sizes", "num_blocks", "preds", "succs", "num_consumers")
+
+    def __init__(self, graph: "BlockDependencyGraph", include_anti: bool):
+        num_nodes = max(graph._node_blocks, default=-1) + 1
+        spans = [0] * num_nodes
+        self.sizes: List[int] = [0] * num_nodes
+        for node, blocks in graph._node_blocks.items():
+            spans[node] = max(blocks) + 1
+            self.sizes[node] = len(blocks) if len(blocks) == spans[node] else -1
+        self.base: List[int] = [0] * num_nodes
+        offset = 0
+        for node, span in enumerate(spans):
+            self.base[node] = offset
+            offset += span
+        self.num_blocks = offset
+        # One int object per block id, shared by every tuple below.
+        ids = {
+            (node, bid): self.base[node] + bid
+            for node, blocks in graph._node_blocks.items()
+            for bid in blocks
+        }
+        id_of = ids.__getitem__
+        self.preds: List[Tuple[int, ...]] = [()] * offset
+        self.succs: List[Tuple[int, ...]] = [()] * offset
+        self.num_consumers: List[int] = [0] * offset
+        for key, block_id in ids.items():
+            preds = graph._producers[key]
+            consumers = graph._consumers.get(key, ())
+            succs = consumers
+            if include_anti:
+                preds = preds + graph._anti[key]
+                succs = list(consumers) + graph._anti_consumers.get(key, [])
+            if preds:
+                self.preds[block_id] = tuple(map(id_of, preds))
+            if succs:
+                self.succs[block_id] = tuple(map(id_of, succs))
+            self.num_consumers[block_id] = len(consumers)
 
 
 class BlockDependencyGraph:
@@ -32,6 +92,7 @@ class BlockDependencyGraph:
         self._consumers: Dict[BlockKey, List[BlockKey]] = {}
         self._anti_consumers: Dict[BlockKey, List[BlockKey]] = {}
         self._node_blocks: Dict[int, List[int]] = {}
+        self._id_views: Dict[bool, BlockIdView] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -62,6 +123,7 @@ class BlockDependencyGraph:
         for anti in self._anti[key]:
             self._anti_consumers.setdefault(anti, []).append(key)
         self._node_blocks.setdefault(key[0], []).append(key[1])
+        self._id_views.clear()
 
     # ------------------------------------------------------------------
     # Queries
@@ -101,6 +163,13 @@ class BlockDependencyGraph:
         """Blocks with a WAR/WAW dependency on ``key`` (inverse of
         :meth:`anti_producers`)."""
         return tuple(self._anti_consumers.get(key, ()))
+
+    def id_view(self, include_anti: bool = True) -> BlockIdView:
+        """The integer view of this graph (built on first use, then shared)."""
+        view = self._id_views.get(include_anti)
+        if view is None:
+            view = self._id_views[include_anti] = BlockIdView(self, include_anti)
+        return view
 
     def blocks_of_node(self, node_id: int) -> List[int]:
         return list(self._node_blocks.get(node_id, ()))

@@ -56,6 +56,7 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import asdict
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.errors import ConfigurationError
 from repro.obs.ops import (
     SLOW_REQUEST_MS,
     RequestContext,
@@ -309,9 +310,16 @@ class PlanService:
                     fingerprint=fingerprint[:12],
                     preset=request.preset,
                 ):
-                    result, served = self._single_flight(
-                        key, job, timeout_s, ctx
-                    )
+                    try:
+                        result, served = self._single_flight(
+                            key, job, timeout_s, ctx
+                        )
+                    except ConfigurationError as exc:
+                        # The body parsed, but its device cannot run its
+                        # app (a block wider than max_threads_per_block).
+                        raise WireError(
+                            "bad_value", f"invalid request: {exc}"
+                        ) from exc
             except WireError as exc:
                 elapsed_ms = round((self._monotonic() - t0) * 1000.0, 3)
                 self._count(

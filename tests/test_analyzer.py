@@ -4,13 +4,13 @@ import pytest
 
 from repro.analyzer import (
     BlockMemoryLines,
-    FootprintAccumulator,
     build_block_graph,
     run_instrumented,
 )
 from repro.apps import build_jacobi_pingpong, build_pipeline
 from repro.errors import GraphError
 from repro.gpusim import GpuSimulator, GpuSpec
+from tests.oracles import FootprintAccumulator
 
 
 @pytest.fixture(scope="module")

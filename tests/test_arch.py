@@ -67,6 +67,31 @@ class TestGpuSpec:
             GpuSpec(**{field: -1})
         assert getattr(GpuSpec(**{field: 0}), field) == 0
 
+    @pytest.mark.parametrize("value", [2.5, 5.0, "5", True, None])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "num_sms", "cores_per_sm", "schedulers_per_sm",
+            "max_threads_per_sm", "max_warps_per_sm", "max_blocks_per_sm",
+            "max_threads_per_block", "l2_bytes", "l2_line_bytes",
+            "l2_assoc", "l2_hit_latency_cycles", "mem_bus_bytes",
+        ],
+    )
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            GpuSpec(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        import numpy as np
+
+        assert GpuSpec(num_sms=np.int64(4)).num_sms == 4
+
+    @pytest.mark.parametrize(
+        "field", ["dram_fixed_latency_ns", "dram_ref_mhz", "launch_gap_us"]
+    )
+    def test_time_and_frequency_fields_take_floats(self, field):
+        assert getattr(GpuSpec(**{field: 2.5}), field) == 2.5
+
     def test_spec_with_l2(self):
         spec = spec_with_l2(GTX_960M, 512 * 1024)
         assert spec.l2_bytes == 512 * 1024

@@ -119,6 +119,25 @@ class TestCountFlags:
         assert exc.value.code == 2
         assert "invalid int value: 'four'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["explain", "fig2", "profile"])
+    def test_l2_size_the_geometry_cannot_hold_exits_2(
+        self, command, capsys, monkeypatch
+    ):
+        """1 KiB is not a multiple of line size x associativity: the
+        spec is resolved before any app is built, and the error is a
+        usage error, not a traceback."""
+        import repro.cli as cli
+
+        monkeypatch.setattr(
+            cli, "_preset_app", lambda args: pytest.fail("app was built")
+        )
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--l2-kb", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "argument --l2-kb: l2_bytes must be divisible" in err
+
 
 class TestAblationCommand:
     @pytest.mark.parametrize("knob", ["threshold", "cache", "gap"])

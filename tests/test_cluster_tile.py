@@ -4,7 +4,6 @@ import pytest
 
 from repro.analyzer import (
     BlockMemoryLines,
-    FootprintAccumulator,
     build_block_graph,
     run_instrumented,
 )

@@ -30,10 +30,10 @@ from hypothesis import strategies as st
 
 from repro.analyzer import BlockMemoryLines, build_block_graph, run_instrumented
 from repro.apps import build_jacobi_pingpong, build_scale_chain
-from repro.core.cluster_tile import ReadinessFrontier, cluster_tile
 from repro.core.subkernel import check_partition
 from repro.core.work import PlannerWork
 from repro.gpusim import GpuSpec
+from tests.oracles import ReadinessFrontier, cluster_tile
 
 
 class FlatTables:

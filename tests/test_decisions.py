@@ -28,7 +28,6 @@ Structure:
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings

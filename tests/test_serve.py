@@ -236,19 +236,41 @@ class TestErrorHandling:
             {"dram_freq_latency_ns": -1},
             {"dram_ref_mhz": -1},
             {"launch_gap_us": -1},
+            {"num_sms": 2.5},
+            {"num_sms": 5.0},
+            {"l2_assoc": 2.0},
+            {"max_blocks_per_sm": 1.5},
         ],
         ids=lambda gpu: "{}={}".format(*next(iter(gpu.items()))),
     )
     def test_impossible_gpu_spec_is_a_400_before_planning(
         self, daemon, client, gpu
     ):
-        """GpuSpec rejects these at construction, so the wire answers
-        400 ``bad_value`` and no planning job starts."""
+        """GpuSpec rejects these at construction (a count must be a
+        true integer), so the wire answers 400 ``bad_value`` and no
+        planning job starts."""
         with pytest.raises(ServeClientError) as err:
             client.plan({**DEMO, "gpu": gpu})
         assert err.value.status == 400
         assert err.value.code == "bad_value"
         assert daemon.service.tracer.metrics.total("serve.plans") == 0
+
+    @pytest.mark.parametrize("endpoint", ["plan", "explain"])
+    def test_device_that_cannot_run_the_app_is_a_400(
+        self, daemon, client, endpoint
+    ):
+        """A valid spec whose block limit is below the app's block size
+        fails on the planner thread; the job's ConfigurationError is
+        answered as 400 ``bad_value``, not as a 500."""
+        with pytest.raises(ServeClientError) as err:
+            getattr(client, endpoint)(
+                {**DEMO, "gpu": {"max_threads_per_block": 128}}
+            )
+        assert err.value.status == 400
+        assert err.value.code == "bad_value"
+        metrics = daemon.service.tracer.metrics
+        assert metrics.total("serve.errors", code="bad_value") == 1
+        assert metrics.total("serve.errors", code="internal") == 0
 
     @pytest.mark.parametrize(
         "body, code",
