@@ -20,11 +20,16 @@ Regenerates every evaluation artifact of the paper from the terminal:
 Every experiment prints the same rows/series the paper reports; see
 EXPERIMENTS.md for paper-vs-measured values.
 
-Observability: the experiments that simulate launches accept a global
-``--trace out.json`` (Chrome trace-event JSON for Perfetto /
-chrome://tracing) and ``--metrics out.prom`` (Prometheus text; use a
-``.json`` suffix for the JSON dump) flag pair; ``ktiler trace`` runs a
-preset application with tracing forced on and emits both artifacts.
+The parser is a table of subcommands (:data:`SUBCOMMANDS`) over four
+shared option groups: ``--l2-kb`` (:data:`L2_OPTIONS`),
+``--planner-backend`` (:data:`PLANNER_OPTIONS`), ``--cache-dir`` /
+``--no-cache`` (:data:`CACHE_OPTIONS`) and ``--trace`` / ``--metrics``
+(:data:`OBS_OPTIONS`).  A subcommand takes only the groups its handler
+reads, so a flag it would ignore is a usage error.  ``--trace
+out.json`` writes Chrome trace-event JSON (Perfetto /
+chrome://tracing) and ``--metrics out.prom`` Prometheus text (use a
+``.json`` suffix for the JSON dump); ``ktiler trace`` runs a preset
+application with tracing forced on and emits both artifacts.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ import argparse
 import json
 import sys
 import time
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.fast_cluster import PLANNER_BACKEND_ENV_VAR, PLANNER_BACKENDS
 from repro.errors import ConfigurationError
@@ -72,66 +78,50 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--l2-kb",
-        type=_positive_int,
-        default=None,
-        help="override the simulated L2 size in KiB",
-    )
-    parser.add_argument(
-        "--planner-backend",
-        choices=PLANNER_BACKENDS,
-        default=None,
-        help=(
-            "merge planner: 'reference' (per-candidate BFS) or 'fast' "
-            "(incremental bitset reachability, bit-identical schedules); "
-            f"default from ${PLANNER_BACKEND_ENV_VAR} or the "
-            "experiment's own default"
-        ),
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help=(
-            "content-addressed artifact cache for traces, perf tables and "
-            f"schedules (default ${STORE_ENV_VAR} or off)"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the artifact cache even when the environment sets one",
-    )
-    parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="write a Chrome trace-event JSON (load in ui.perfetto.dev)",
-    )
-    parser.add_argument(
-        "--metrics",
-        metavar="PATH",
-        default=None,
-        help="write collected metrics (Prometheus text; .json for JSON)",
-    )
+#: One ``add_argument`` call: the flags and their keyword arguments.
+Option = Tuple[Tuple[str, ...], dict]
 
 
-def _resolve_spec(base: GpuSpec, args: argparse.Namespace) -> GpuSpec:
-    """The subcommand's base spec with the ``--l2-kb`` override applied.
+def _opt(*flags: str, **kwargs) -> Option:
+    return flags, kwargs
 
-    Raises :class:`ConfigurationError` when the cache geometry cannot
-    hold that size (it must be a multiple of line size x associativity).
-    """
-    if getattr(args, "l2_kb", None) is not None:
-        return spec_with_l2(base, args.l2_kb * 1024)
-    return base
+
+# ----------------------------------------------------------------------
+# Shared option groups
+# ----------------------------------------------------------------------
+L2_OPTIONS = (
+    _opt("--l2-kb", type=_positive_int, default=None,
+         help="override the simulated L2 size in KiB"),
+)
+PLANNER_OPTIONS = (
+    _opt("--planner-backend", choices=PLANNER_BACKENDS, default=None,
+         help=(
+             "merge planner: 'reference' (per-candidate BFS) or 'fast' "
+             "(incremental bitset reachability, bit-identical schedules); "
+             f"default from ${PLANNER_BACKEND_ENV_VAR} or the "
+             "experiment's own default"
+         )),
+)
+CACHE_OPTIONS = (
+    _opt("--cache-dir", metavar="DIR", default=None,
+         help=(
+             "content-addressed artifact cache for traces, perf tables and "
+             f"schedules (default ${STORE_ENV_VAR} or off)"
+         )),
+    _opt("--no-cache", action="store_true",
+         help="disable the artifact cache even when the environment sets one"),
+)
+OBS_OPTIONS = (
+    _opt("--trace", metavar="PATH", default=None,
+         help="write a Chrome trace-event JSON (load in ui.perfetto.dev)"),
+    _opt("--metrics", metavar="PATH", default=None,
+         help="write collected metrics (Prometheus text; .json for JSON)"),
+)
 
 
 def _make_tracer(args: argparse.Namespace):
-    """An enabled Tracer when any observability flag asks for one."""
-    if getattr(args, "trace", None) or getattr(args, "metrics", None):
+    """An enabled Tracer when an observability flag asks for one."""
+    if args.trace or args.metrics:
         return Tracer()
     return NULL_TRACER
 
@@ -164,62 +154,80 @@ def _finish_obs(args: argparse.Namespace, tracer) -> None:
         ),
         file=sys.stderr,
     )
-    trace_path = getattr(args, "trace", None)
-    metrics_path = getattr(args, "metrics", None)
-    if trace_path:
-        trace = write_chrome_trace(trace_path, tracer)
+    if args.trace:
+        trace = write_chrome_trace(args.trace, tracer)
         print(
-            f"wrote {len(trace['traceEvents'])} trace events to {trace_path}",
+            f"wrote {len(trace['traceEvents'])} trace events to {args.trace}",
             file=sys.stderr,
         )
-    if metrics_path:
-        if metrics_path.endswith(".json"):
-            write_metrics(tracer.metrics, json_path=metrics_path)
+    if args.metrics:
+        if args.metrics.endswith(".json"):
+            write_metrics(tracer.metrics, json_path=args.metrics)
         else:
-            write_metrics(tracer.metrics, prom_path=metrics_path)
+            write_metrics(tracer.metrics, prom_path=args.metrics)
         print(
-            f"wrote {len(tracer.metrics)} metric families to {metrics_path}",
+            f"wrote {len(tracer.metrics)} metric families to {args.metrics}",
             file=sys.stderr,
         )
 
 
-def _planner_backend(args: argparse.Namespace) -> Optional[str]:
-    return getattr(args, "planner_backend", None)
-
-
-def _store(args: argparse.Namespace, tracer):
+def _store(args: argparse.Namespace, tracer=NULL_TRACER):
     """The artifact store the flags (or environment) ask for."""
     return resolve_store(
-        cache_dir=getattr(args, "cache_dir", None),
-        no_cache=getattr(args, "no_cache", False),
-        tracer=tracer,
+        cache_dir=args.cache_dir, no_cache=args.no_cache, tracer=tracer
     )
 
 
-def _cmd_fig2(args: argparse.Namespace) -> int:
-    tracer = _make_tracer(args)
-    result = run_fig2(
-        image_size=args.size,
-        spec=args.spec,
+def _ktiler(app, args: argparse.Namespace, tracer):
+    """The KTiler of ``trace``, ``explain`` and ``diff``: the resolved
+    spec, its launch gap as the per-launch overhead, and the store and
+    planner the flags ask for."""
+    from repro.core import KTiler, KTilerConfig
+
+    spec = args.spec
+    return KTiler(
+        app.graph,
+        spec=spec,
+        config=KTilerConfig(launch_overhead_us=spec.launch_gap_us),
         tracer=tracer,
         store=_store(args, tracer),
+        planner_backend=args.planner_backend,
     )
-    print(result.format_table())
-    _finish_obs(args, tracer)
-    return 0
 
 
-def _cmd_fig3(args: argparse.Namespace) -> int:
-    tracer = _make_tracer(args)
-    result = run_fig3(
-        image_size=args.size,
-        spec=args.spec,
-        with_split_comparison=not args.no_split,
-        tracer=tracer,
-    )
-    print(result.format_table())
-    _finish_obs(args, tracer)
-    return 0
+# ----------------------------------------------------------------------
+# Handlers
+# ----------------------------------------------------------------------
+def _experiment(run: Callable) -> Callable[[argparse.Namespace], int]:
+    """The handler of an experiment subcommand: ``run(args, tracer)``
+    returns the result whose table is printed, then the ``--trace`` /
+    ``--metrics`` artifacts are written."""
+
+    def handler(args: argparse.Namespace) -> int:
+        tracer = _make_tracer(args)
+        print(run(args, tracer).format_table())
+        _finish_obs(args, tracer)
+        return 0
+
+    return handler
+
+
+_cmd_fig2 = _experiment(lambda args, tracer: run_fig2(
+    image_size=args.size, spec=args.spec, tracer=tracer,
+    store=_store(args, tracer),
+))
+_cmd_fig3 = _experiment(lambda args, tracer: run_fig3(
+    image_size=args.size, spec=args.spec,
+    with_split_comparison=not args.no_split, tracer=tracer,
+))
+_cmd_fig5 = _experiment(lambda args, tracer: run_fig5(
+    frame_size=args.frame_size, levels=args.levels, jacobi_iters=args.iters,
+    spec=args.spec, check_functional=args.check_functional, tracer=tracer,
+    store=_store(args, tracer), planner_backend=args.planner_backend,
+))
+_cmd_suitability = _experiment(
+    lambda args, tracer: run_suitability(spec=args.spec, tracer=tracer)
+)
 
 
 def _cmd_fig4(args: argparse.Namespace) -> int:
@@ -230,46 +238,16 @@ def _cmd_fig4(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fig5(args: argparse.Namespace) -> int:
-    tracer = _make_tracer(args)
-    result = run_fig5(
-        frame_size=args.frame_size,
-        levels=args.levels,
-        jacobi_iters=args.iters,
-        spec=args.spec,
-        check_functional=args.check_functional,
-        tracer=tracer,
-        store=_store(args, tracer),
-        planner_backend=_planner_backend(args),
-    )
-    print(result.format_table())
-    _finish_obs(args, tracer)
-    return 0
-
-
-def _cmd_suitability(args: argparse.Namespace) -> int:
-    tracer = _make_tracer(args)
-    result = run_suitability(
-        spec=args.spec, tracer=tracer,
-    )
-    print(result.format_table())
-    _finish_obs(args, tracer)
-    return 0
-
-
 def _cmd_ablation(args: argparse.Namespace) -> int:
-    tracer = _make_tracer(args)
     sweeps = {
         "threshold": threshold_sweep,
         "cache": cache_sweep,
         "gap": gap_sweep,
     }
     result = sweeps[args.knob](
-        store=_store(args, tracer),
-        planner_backend=_planner_backend(args),
+        store=_store(args), planner_backend=args.planner_backend
     )
     print(result.format_table())
-    _finish_obs(args, tracer)
     return 0
 
 
@@ -284,7 +262,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     ktiler = KTiler(
         app.graph,
         config=KTilerConfig(launch_overhead_us=2.0),
-        planner_backend=_planner_backend(args),
+        planner_backend=args.planner_backend,
     )
     plan = ktiler.plan(NOMINAL)
     print(plan.schedule.summary())
@@ -325,7 +303,6 @@ def _build_trace_app(args: argparse.Namespace):
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.core import KTiler, KTilerConfig
     from repro.gpusim import NOMINAL
     from repro.runtime import compare_default_vs_ktiler
 
@@ -335,16 +312,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     args.metrics = args.metrics or "metrics.prom"
     tracer = Tracer()
     app = _build_trace_app(args)
-    spec = args.spec
     print(app.graph.summary())
-    ktiler = KTiler(
-        app.graph,
-        spec=spec,
-        config=KTilerConfig(launch_overhead_us=spec.launch_gap_us),
-        tracer=tracer,
-        store=_store(args, tracer),
-        planner_backend=_planner_backend(args),
-    )
+    ktiler = _ktiler(app, args, tracer)
     report = compare_default_vs_ktiler(ktiler, [NOMINAL])
     print(report.format_table())
     stats = ktiler.plan(NOMINAL).stats
@@ -377,22 +346,13 @@ def _preset_app(args: argparse.Namespace):
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.core import KTiler, KTilerConfig
     from repro.gpusim import NOMINAL
     from repro.obs.audit import audit_schedule, write_audit
 
     tracer = _make_tracer(args)
     app = _preset_app(args)
-    spec = args.spec
     print(app.graph.summary())
-    ktiler = KTiler(
-        app.graph,
-        spec=spec,
-        config=KTilerConfig(launch_overhead_us=spec.launch_gap_us),
-        tracer=tracer,
-        store=_store(args, tracer),
-        planner_backend=_planner_backend(args),
-    )
+    ktiler = _ktiler(app, args, tracer)
     audit = audit_schedule(ktiler, freq=NOMINAL, tracer=tracer)
     print(audit.format_table())
     write_audit(
@@ -420,13 +380,11 @@ def _freq_label(freq) -> str:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    from repro.core import KTiler, KTilerConfig
     from repro.gpusim.freq import NOMINAL
     from repro.obs.diff import diff_plans, format_divergence, write_diff
 
     tracer = _make_tracer(args)
     app = _preset_app(args)
-    spec = args.spec
     freq_a = _diff_freq(args.gpu_mhz_a, args.mem_mhz_a)
     gpu_b, mem_b = args.gpu_mhz_b, args.mem_mhz_b
     if gpu_b is None and mem_b is None:
@@ -438,14 +396,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     print(app.graph.summary())
     # One KTiler plans both sides, so graph, spec and config are
     # identical by construction and the diff isolates the frequency.
-    ktiler = KTiler(
-        app.graph,
-        spec=spec,
-        config=KTilerConfig(launch_overhead_us=spec.launch_gap_us),
-        tracer=tracer,
-        store=_store(args, tracer),
-        planner_backend=_planner_backend(args),
-    )
+    ktiler = _ktiler(app, args, tracer)
     plan_a = ktiler.plan(freq_a)
     plan_b = ktiler.plan(freq_b)
     payload = diff_plans(
@@ -494,7 +445,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
 
     # Planning must actually run for a profile to mean anything, so the
-    # artifact cache is never consulted here (no --cache-dir effect).
+    # artifact cache is never consulted here (no cache options).
     tracer = Tracer()
     spec = args.spec
     engine = None if args.engine == "none" else args.engine
@@ -505,7 +456,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         spec=spec,
         engine=engine,
         tracer=tracer,
-        planner_backend=_planner_backend(args),
+        planner_backend=args.planner_backend,
     )
     work = capture["work"]
     print(
@@ -531,7 +482,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             seed=args.seed,
             image_size=args.size or 32,
             log=lambda line: print(line, file=sys.stderr),
-            planner_backend=_planner_backend(args),
+            planner_backend=args.planner_backend,
         )
         wall_fit = sweep["exponents"]["wall_s"]
         print(
@@ -545,7 +496,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         app.graph.name if hasattr(app.graph, "name") else args.preset,
         capture=capture,
         sweep=sweep,
-        planner_backend=_planner_backend(args),
+        planner_backend=args.planner_backend,
     )
     written = []
     if args.json:
@@ -598,7 +549,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = PlanService(
         tracer=tracer,
         store=_store(args, tracer),
-        planner_backend=_planner_backend(args),
+        planner_backend=args.planner_backend,
         timeout_s=args.timeout_s,
         max_body_bytes=args.max_body_kb * 1024,
         planner_threads=args.planner_threads,
@@ -615,17 +566,15 @@ def _client_request_body(args: argparse.Namespace) -> dict:
     """Assemble the /v1/plan body the flags describe (sparse: defaults
     stay server-side so the fingerprint matches other clients')."""
     app: dict = {"preset": args.preset}
-    for flag, key in (("size", "size"), ("levels", "levels"),
-                      ("iters", "iters"), ("kernels", "kernels"),
-                      ("seed", "seed")):
-        value = getattr(args, flag, None)
+    for key in ("size", "levels", "iters", "kernels", "seed"):
+        value = getattr(args, key)
         if value is not None:
             app[key] = value
     body: dict = {"app": app}
     gpu: dict = {}
     if args.gpu_base is not None:
         gpu["base"] = args.gpu_base
-    if getattr(args, "l2_kb", None) is not None:
+    if args.l2_kb is not None:
         gpu["l2_kb"] = args.l2_kb
     if gpu:
         body["gpu"] = gpu
@@ -636,9 +585,9 @@ def _client_request_body(args: argparse.Namespace) -> dict:
         if args.mem_mhz is not None:
             freq["mem_mhz"] = args.mem_mhz
         body["freq"] = freq
-    if _planner_backend(args) is not None:
-        body["planner_backend"] = _planner_backend(args)
-    if getattr(args, "measure", False):
+    if args.planner_backend is not None:
+        body["planner_backend"] = args.planner_backend
+    if args.measure:
         body["measure"] = True
     if args.timeout_s is not None:
         body["timeout_s"] = args.timeout_s
@@ -700,20 +649,15 @@ def _cmd_client(args: argparse.Namespace) -> int:
     client = ServeClient(args.url, request_id=args.request_id)
     code = 0
     try:
-        if args.action == "health":
-            result = client.health()
-            print(json.dumps(result, indent=1, sort_keys=True))
-        elif args.action == "metrics":
-            print(client.metrics(), end="")
+        if args.action in ("metrics", "statusz"):
+            print(getattr(client, args.action)(), end="")
             result = None
-        elif args.action == "statusz":
-            print(client.statusz(), end="")
-            result = None
-        elif args.action == "vars":
-            result = client.debug_vars()
-            print(json.dumps(result, indent=1, sort_keys=True))
-        elif args.action == "tracez":
-            result = client.debug_tracez()
+        elif args.action in ("health", "vars", "tracez"):
+            result = {
+                "health": client.health,
+                "vars": client.debug_vars,
+                "tracez": client.debug_tracez,
+            }[args.action]()
             print(json.dumps(result, indent=1, sort_keys=True))
         elif args.action == "diff":
             result = _client_diff(client, args)
@@ -764,7 +708,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
     app_params = {}
     for flag in ("size", "levels", "iters", "kernels", "seed_param"):
-        value = getattr(args, flag, None)
+        value = getattr(args, flag)
         if value is not None:
             app_params[flag.replace("_param", "")] = value
     doc = run_loadgen(
@@ -775,7 +719,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         distinct=args.distinct,
         seed=args.seed,
         app_params=app_params or None,
-        planner_backend=_planner_backend(args),
+        planner_backend=args.planner_backend,
         log=lambda message: print(message, file=sys.stderr),
     )
     summary = doc["loadgen"]
@@ -797,91 +741,123 @@ SERVE_CLIENT_ACTIONS = (
 LOADGEN_PRESETS = PROFILE_PRESETS
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ktiler",
-        description="KTILER (DATE 2019) reproduction experiments",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# ----------------------------------------------------------------------
+# The subcommand table
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Subcommand:
+    """One ``ktiler`` subcommand.
 
-    p = sub.add_parser("fig2", help="profiler metrics, default vs 1/32 tiled")
-    p.add_argument("--size", type=int, default=512, help="Jacobi image side")
-    _add_common(p)
-    p.set_defaults(func=_cmd_fig2, spec_base=PAPER_SPEC)
+    ``options`` are its own flags; ``groups`` the shared option groups
+    its handler reads.  A subcommand that simulates a device names the
+    ``spec_base`` that ``--l2-kb`` resizes; ``main`` resolves it into
+    ``args.spec`` before the handler runs.
+    """
 
-    p = sub.add_parser("fig3", help="Jacobi throughput vs grid size")
-    p.add_argument("--size", type=int, default=512, help="Jacobi image side")
-    p.add_argument("--no-split", action="store_true",
-                   help="skip the 4x250-block split comparison")
-    _add_common(p)
-    p.set_defaults(func=_cmd_fig3, spec_base=PAPER_SPEC)
+    name: str
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    options: Tuple[Option, ...] = ()
+    groups: Tuple[Tuple[Option, ...], ...] = ()
+    spec_base: Optional[GpuSpec] = None
+    description: Optional[str] = None
 
-    p = sub.add_parser("fig4", help="HSOpticalFlow graph census")
-    p.add_argument("--frame-size", type=int, default=256)
-    p.add_argument("--levels", type=int, default=3)
-    p.add_argument("--iters", type=int, default=20, help="JI nodes per step")
-    p.set_defaults(func=_cmd_fig4)
 
-    p = sub.add_parser("fig5", help="end-to-end default vs KTILER")
-    p.add_argument("--frame-size", type=int, default=256)
-    p.add_argument("--levels", type=int, default=3)
-    p.add_argument("--iters", type=int, default=20, help="JI nodes per step")
-    p.add_argument("--check-functional", action="store_true",
-                   help="also verify tiled output == default output")
-    _add_common(p)
-    p.set_defaults(func=_cmd_fig5, spec_base=SCALED_SPEC)
+_JACOBI_SIZE = _opt("--size", type=int, default=512, help="Jacobi image side")
+#: The preset parameters ``client`` and ``loadgen`` put in request bodies.
+_APP_PARAM_OPTIONS = (
+    _opt("--size", type=int, default=None,
+         help="preset size parameter (server default if omitted)"),
+    _opt("--levels", type=int, default=None, help="pyramid levels (fig5)"),
+    _opt("--iters", type=int, default=None,
+         help="Jacobi iterations (fig5, jacobi)"),
+    _opt("--kernels", type=int, default=None,
+         help="probe-graph node count (chain/fan/grid)"),
+)
+_HSOF_OPTIONS = (
+    _opt("--frame-size", type=int, default=256),
+    _opt("--levels", type=int, default=3),
+    _opt("--iters", type=int, default=20, help="JI nodes per step"),
+)
 
-    p = sub.add_parser("suitability", help="section II kernel study")
-    _add_common(p)
-    p.set_defaults(func=_cmd_suitability, spec_base=PAPER_SPEC)
-
-    p = sub.add_parser("ablation", help="design-knob sweeps")
-    p.add_argument("knob", choices=("threshold", "cache", "gap"))
-    _add_common(p)
-    p.set_defaults(func=_cmd_ablation)
-
-    p = sub.add_parser("demo", help="two-kernel quickstart (Figure 1)")
-    p.add_argument("--size", type=int, default=1024, help="image side")
-    p.add_argument("--planner-backend", choices=PLANNER_BACKENDS,
-                   default=None,
-                   help="merge planner (reference|fast)")
-    p.set_defaults(func=_cmd_demo)
-
-    p = sub.add_parser(
-        "trace",
-        help="run a preset app fully traced; emit Chrome trace + metrics",
-    )
-    p.add_argument("--app", choices=TRACE_APPS, default="hsopticalflow")
-    p.add_argument("--size", type=int, default=None,
-                   help="image/frame side (preset-specific default)")
-    p.add_argument("--levels", type=int, default=2,
-                   help="pyramid levels (hsopticalflow)")
-    p.add_argument("--iters", type=int, default=5,
-                   help="Jacobi iterations (hsopticalflow, jacobi)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_trace, spec_base=SCALED_SPEC)
-
-    p = sub.add_parser(
-        "explain",
-        help=(
-            "audit a tiled schedule: replay default vs tiled with miss "
-            "attribution; write a JSON audit + HTML report"
+SUBCOMMANDS = (
+    Subcommand(
+        "fig2", _cmd_fig2, "profiler metrics, default vs 1/32 tiled",
+        options=(_JACOBI_SIZE,),
+        groups=(L2_OPTIONS, CACHE_OPTIONS, OBS_OPTIONS),
+        spec_base=PAPER_SPEC,
+    ),
+    Subcommand(
+        "fig3", _cmd_fig3, "Jacobi throughput vs grid size",
+        options=(
+            _JACOBI_SIZE,
+            _opt("--no-split", action="store_true",
+                 help="skip the 4x250-block split comparison"),
         ),
-    )
-    p.add_argument("--preset", choices=EXPLAIN_PRESETS, default="demo")
-    p.add_argument("--json", metavar="PATH", default="audit.json",
-                   help="audit JSON output path (schema_version 1)")
-    p.add_argument("--html", metavar="PATH", default="audit.html",
-                   help="self-contained HTML report output path")
-    _add_common(p)
-    p.set_defaults(func=_cmd_explain, spec_base=SCALED_SPEC)
-
-    p = sub.add_parser(
-        "diff",
-        help=(
-            "plan one application at two DVFS points and attribute the "
-            "divergence to the first disagreeing planner decision"
+        groups=(L2_OPTIONS, OBS_OPTIONS),
+        spec_base=PAPER_SPEC,
+    ),
+    Subcommand(
+        "fig4", _cmd_fig4, "HSOpticalFlow graph census",
+        options=_HSOF_OPTIONS,
+    ),
+    Subcommand(
+        "fig5", _cmd_fig5, "end-to-end default vs KTILER",
+        options=_HSOF_OPTIONS + (
+            _opt("--check-functional", action="store_true",
+                 help="also verify tiled output == default output"),
         ),
+        groups=(L2_OPTIONS, PLANNER_OPTIONS, CACHE_OPTIONS, OBS_OPTIONS),
+        spec_base=SCALED_SPEC,
+    ),
+    Subcommand(
+        "suitability", _cmd_suitability, "section II kernel study",
+        groups=(L2_OPTIONS, OBS_OPTIONS),
+        spec_base=PAPER_SPEC,
+    ),
+    Subcommand(
+        "ablation", _cmd_ablation, "design-knob sweeps",
+        options=(_opt("knob", choices=("threshold", "cache", "gap")),),
+        groups=(PLANNER_OPTIONS, CACHE_OPTIONS),
+    ),
+    Subcommand(
+        "demo", _cmd_demo, "two-kernel quickstart (Figure 1)",
+        options=(_opt("--size", type=int, default=1024, help="image side"),),
+        groups=(PLANNER_OPTIONS,),
+    ),
+    Subcommand(
+        "trace", _cmd_trace,
+        "run a preset app fully traced; emit Chrome trace + metrics",
+        options=(
+            _opt("--app", choices=TRACE_APPS, default="hsopticalflow"),
+            _opt("--size", type=int, default=None,
+                 help="image/frame side (preset-specific default)"),
+            _opt("--levels", type=int, default=2,
+                 help="pyramid levels (hsopticalflow)"),
+            _opt("--iters", type=int, default=5,
+                 help="Jacobi iterations (hsopticalflow, jacobi)"),
+        ),
+        groups=(L2_OPTIONS, PLANNER_OPTIONS, CACHE_OPTIONS, OBS_OPTIONS),
+        spec_base=SCALED_SPEC,
+    ),
+    Subcommand(
+        "explain", _cmd_explain,
+        "audit a tiled schedule: replay default vs tiled with miss "
+        "attribution; write a JSON audit + HTML report",
+        options=(
+            _opt("--preset", choices=EXPLAIN_PRESETS, default="demo"),
+            _opt("--json", metavar="PATH", default="audit.json",
+                 help="audit JSON output path (schema_version 1)"),
+            _opt("--html", metavar="PATH", default="audit.html",
+                 help="self-contained HTML report output path"),
+        ),
+        groups=(L2_OPTIONS, PLANNER_OPTIONS, CACHE_OPTIONS, OBS_OPTIONS),
+        spec_base=SCALED_SPEC,
+    ),
+    Subcommand(
+        "diff", _cmd_diff,
+        "plan one application at two DVFS points and attribute the "
+        "divergence to the first disagreeing planner decision",
         description=(
             "Plans the chosen preset twice — side A at the "
             "--gpu-mhz-a/--mem-mhz-a frequencies, side B at the "
@@ -891,82 +867,80 @@ def build_parser() -> argparse.ArgumentParser:
             "the planners disagreed, every reassigned kernel, every "
             "tile-factor change, and every edge-weight delta."
         ),
-    )
-    p.add_argument("--preset", choices=EXPLAIN_PRESETS, default="demo")
-    p.add_argument("--gpu-mhz-a", type=float, default=None, metavar="MHZ",
-                   help="side-A core frequency (default: nominal)")
-    p.add_argument("--mem-mhz-a", type=float, default=None, metavar="MHZ",
-                   help="side-A memory frequency (default: nominal)")
-    p.add_argument("--gpu-mhz-b", type=float, default=None, metavar="MHZ",
-                   help="side-B core frequency (default: side A's)")
-    p.add_argument("--mem-mhz-b", type=float, default=None, metavar="MHZ",
-                   help="side-B memory frequency (default: half of "
-                        "nominal when no side-B flag is given)")
-    p.add_argument("--json", metavar="PATH", default="diff.json",
-                   help="diff JSON output path (schema_version 1)")
-    p.add_argument("--html", metavar="PATH", default="diff.html",
-                   help="self-contained HTML report output path")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 2 when the plans diverge")
-    _add_common(p)
-    p.set_defaults(func=_cmd_diff, spec_base=SCALED_SPEC)
-
-    p = sub.add_parser(
-        "profile",
-        help=(
-            "planner observatory: deterministic work counters, "
-            "flamegraph-ready stack capture, and scalability sweeps "
-            "with fitted complexity exponents"
+        options=(
+            _opt("--preset", choices=EXPLAIN_PRESETS, default="demo"),
+            _opt("--gpu-mhz-a", type=float, default=None, metavar="MHZ",
+                 help="side-A core frequency (default: nominal)"),
+            _opt("--mem-mhz-a", type=float, default=None, metavar="MHZ",
+                 help="side-A memory frequency (default: nominal)"),
+            _opt("--gpu-mhz-b", type=float, default=None, metavar="MHZ",
+                 help="side-B core frequency (default: side A's)"),
+            _opt("--mem-mhz-b", type=float, default=None, metavar="MHZ",
+                 help="side-B memory frequency (default: half of nominal "
+                      "when no side-B flag is given)"),
+            _opt("--json", metavar="PATH", default="diff.json",
+                 help="diff JSON output path (schema_version 1)"),
+            _opt("--html", metavar="PATH", default="diff.html",
+                 help="self-contained HTML report output path"),
+            _opt("--strict", action="store_true",
+                 help="exit 2 when the plans diverge"),
         ),
+        groups=(L2_OPTIONS, PLANNER_OPTIONS, CACHE_OPTIONS, OBS_OPTIONS),
+        spec_base=SCALED_SPEC,
+    ),
+    Subcommand(
+        "profile", _cmd_profile,
+        "planner observatory: deterministic work counters, "
+        "flamegraph-ready stack capture, and scalability sweeps with "
+        "fitted complexity exponents",
         description=(
             "Plans the chosen application once under a profiling engine "
             "and (optionally) sweeps a probe-graph size ladder to fit "
             "per-phase empirical complexity exponents.  Planning always "
             "runs fresh: the artifact cache is not consulted."
         ),
-    )
-    p.add_argument("--preset", choices=PROFILE_PRESETS, default="demo",
-                   help="application to profile (probe shapes honour "
-                        "--kernels/--seed)")
-    p.add_argument("--kernels", type=_positive_int, default=64, metavar="N",
-                   help="probe-graph node count (probe presets only)")
-    p.add_argument("--size", type=int, default=None,
-                   help="image side for probe graphs (default 32)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="probe-graph scale-factor jitter seed")
-    p.add_argument("--engine", choices=("stack", "cprofile", "none"),
-                   default="stack",
-                   help="frame-capture engine ('none' = counters only)")
-    p.add_argument("--sweep", action="store_true",
-                   help="also sweep a probe-size ladder and fit exponents")
-    p.add_argument("--sweep-sizes", metavar="A,B,C", default="8,16,32,64",
-                   help="comma-separated kernel counts of the sweep ladder")
-    p.add_argument("--repeats", type=_positive_int, default=3, metavar="N",
-                   help="timed repeats per ladder point")
-    p.add_argument("--warmup", type=int, default=1, metavar="K",
-                   help="untimed warmup runs per ladder point")
-    p.add_argument("--json", "-o", metavar="PATH", default="profile.json",
-                   help="planner-profile document output path "
-                        f"(schema_version {PROFILE_SCHEMA_VERSION})")
-    p.add_argument("--collapsed", metavar="PATH", default=None,
-                   help="collapsed-stack output (flamegraph.pl/speedscope)")
-    p.add_argument("--html", metavar="PATH", default=None,
-                   help="self-contained profile dashboard output path")
-    p.add_argument("--baseline", metavar="PATH", default=None,
-                   help="baseline profile JSON for exponent-drift check")
-    p.add_argument("--drift-tol", type=float, default=0.35, metavar="TOL",
-                   help="exponent drift tolerance vs the baseline")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 2 on exponent drift (default: advisory)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_profile, spec_base=SCALED_SPEC)
-
-    p = sub.add_parser(
-        "serve",
-        help=(
-            "tiling-as-a-service daemon: POST /v1/plan and /v1/explain "
-            "with single-flight dedup over the artifact store"
+        options=(
+            _opt("--preset", choices=PROFILE_PRESETS, default="demo",
+                 help="application to profile (probe shapes honour "
+                      "--kernels/--seed)"),
+            _opt("--kernels", type=_positive_int, default=64, metavar="N",
+                 help="probe-graph node count (probe presets only)"),
+            _opt("--size", type=int, default=None,
+                 help="image side for probe graphs (default 32)"),
+            _opt("--seed", type=int, default=0,
+                 help="probe-graph scale-factor jitter seed"),
+            _opt("--engine", choices=("stack", "cprofile", "none"),
+                 default="stack",
+                 help="frame-capture engine ('none' = counters only)"),
+            _opt("--sweep", action="store_true",
+                 help="also sweep a probe-size ladder and fit exponents"),
+            _opt("--sweep-sizes", metavar="A,B,C", default="8,16,32,64",
+                 help="comma-separated kernel counts of the sweep ladder"),
+            _opt("--repeats", type=_positive_int, default=3, metavar="N",
+                 help="timed repeats per ladder point"),
+            _opt("--warmup", type=int, default=1, metavar="K",
+                 help="untimed warmup runs per ladder point"),
+            _opt("--json", "-o", metavar="PATH", default="profile.json",
+                 help="planner-profile document output path "
+                      f"(schema_version {PROFILE_SCHEMA_VERSION})"),
+            _opt("--collapsed", metavar="PATH", default=None,
+                 help="collapsed-stack output (flamegraph.pl/speedscope)"),
+            _opt("--html", metavar="PATH", default=None,
+                 help="self-contained profile dashboard output path"),
+            _opt("--baseline", metavar="PATH", default=None,
+                 help="baseline profile JSON for exponent-drift check"),
+            _opt("--drift-tol", type=float, default=0.35, metavar="TOL",
+                 help="exponent drift tolerance vs the baseline"),
+            _opt("--strict", action="store_true",
+                 help="exit 2 on exponent drift (default: advisory)"),
         ),
+        groups=(L2_OPTIONS, PLANNER_OPTIONS, OBS_OPTIONS),
+        spec_base=SCALED_SPEC,
+    ),
+    Subcommand(
+        "serve", _cmd_serve,
+        "tiling-as-a-service daemon: POST /v1/plan and /v1/explain with "
+        "single-flight dedup over the artifact store",
         description=(
             "Long-running threaded HTTP/JSON daemon.  Identical requests "
             "are fingerprinted with the plan artifact-store key: "
@@ -974,119 +948,126 @@ def build_parser() -> argparse.ArgumentParser:
             "completed plans are memoized and (with --cache-dir) persist "
             "across restarts.  GET /healthz and /metrics for probes."
         ),
-    )
-    p.add_argument("--host", default="127.0.0.1", help="bind address")
-    p.add_argument("--port", type=int, default=8750,
-                   help="bind port (0 = ephemeral; the bound port is "
-                        "printed on stderr)")
-    p.add_argument("--timeout-s", type=float, default=300.0, metavar="S",
-                   help="per-request planning-wait ceiling (504 after; "
-                        "the job continues and a retry is served warm)")
-    p.add_argument("--max-body-kb", type=_positive_int, default=1024,
-                   metavar="KB",
-                   help="largest accepted request body (413 above)")
-    p.add_argument("--planner-threads", type=_positive_int, default=4,
-                   metavar="N",
-                   help="concurrent planning jobs (distinct fingerprints)")
-    p.add_argument("--verbose", action="store_true",
-                   help="log every HTTP request to stderr")
-    p.add_argument("--request-log", metavar="PATH", default="-",
-                   help="structured JSON request log destination "
-                        "('-' = stderr; otherwise appended to PATH)")
-    p.add_argument("--no-request-log", action="store_true",
-                   help="disable the structured request log")
-    p.add_argument("--slow-ms", type=float, default=250.0, metavar="MS",
-                   help="requests at or above this latency land in the "
-                        "/debug/tracez slow ring")
-    p.add_argument("--tracez-capacity", type=_positive_int, default=64,
-                   metavar="N",
-                   help="exemplars kept per /debug/tracez ring "
-                        "(recent/slow/errors)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser(
-        "client",
-        help="talk to a running `ktiler serve` daemon",
-    )
-    p.add_argument("action", choices=SERVE_CLIENT_ACTIONS)
-    p.add_argument("--url", default="http://127.0.0.1:8750",
-                   help="daemon base URL")
-    p.add_argument("--preset", choices=PROFILE_PRESETS, default="demo",
-                   help="application preset to plan/explain")
-    p.add_argument("--size", type=int, default=None,
-                   help="preset size parameter (server default if omitted)")
-    p.add_argument("--levels", type=int, default=None,
-                   help="pyramid levels (fig5)")
-    p.add_argument("--iters", type=int, default=None,
-                   help="Jacobi iterations (fig5, jacobi)")
-    p.add_argument("--kernels", type=int, default=None,
-                   help="probe-graph node count (chain/fan/grid)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="probe-graph jitter seed (chain/fan/grid)")
-    p.add_argument("--gpu-base", choices=("scaled", "paper", "embedded",
-                                          "desktop"), default=None,
-                   help="GpuSpec preset (server default: scaled)")
-    p.add_argument("--gpu-mhz", type=float, default=None,
-                   help="core frequency (default: nominal)")
-    p.add_argument("--mem-mhz", type=float, default=None,
-                   help="memory frequency (default: nominal)")
-    p.add_argument("--measure", action="store_true",
-                   help="also replay the plan and return wire timing "
-                        "(blocking + streamed)")
-    p.add_argument("--gpu-mhz-b", type=float, default=None, metavar="MHZ",
-                   help="diff action: side-B core frequency")
-    p.add_argument("--mem-mhz-b", type=float, default=None, metavar="MHZ",
-                   help="diff action: side-B memory frequency (default: "
-                        "side A at half memory frequency)")
-    p.add_argument("--strict", action="store_true",
-                   help="diff action: exit 2 when the ledgers diverge")
-    p.add_argument("--timeout-s", type=float, default=None, metavar="S",
-                   help="client-side request timeout forwarded to the "
-                        "daemon")
-    p.add_argument("--json", metavar="PATH", default=None,
-                   help="also write the full response JSON")
-    p.add_argument("--request-id", default=None, metavar="ID",
-                   help="X-Request-Id to send (default: the daemon "
-                        "mints one and echoes it back)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_client)
-
-    p = sub.add_parser(
-        "loadgen",
-        help=(
-            "closed-loop load generator against the serve daemon; "
-            "emits a schema-valid bench document (req/s, p50/p99)"
+        options=(
+            _opt("--host", default="127.0.0.1", help="bind address"),
+            _opt("--port", type=int, default=8750,
+                 help="bind port (0 = ephemeral; the bound port is printed "
+                      "on stderr)"),
+            _opt("--timeout-s", type=float, default=300.0, metavar="S",
+                 help="per-request planning-wait ceiling (504 after; the "
+                      "job continues and a retry is served warm)"),
+            _opt("--max-body-kb", type=_positive_int, default=1024,
+                 metavar="KB",
+                 help="largest accepted request body (413 above)"),
+            _opt("--planner-threads", type=_positive_int, default=4,
+                 metavar="N",
+                 help="concurrent planning jobs (distinct fingerprints)"),
+            _opt("--verbose", action="store_true",
+                 help="log every HTTP request to stderr"),
+            _opt("--request-log", metavar="PATH", default="-",
+                 help="structured JSON request log destination ('-' = "
+                      "stderr; otherwise appended to PATH)"),
+            _opt("--no-request-log", action="store_true",
+                 help="disable the structured request log"),
+            _opt("--slow-ms", type=float, default=250.0, metavar="MS",
+                 help="requests at or above this latency land in the "
+                      "/debug/tracez slow ring"),
+            _opt("--tracez-capacity", type=_positive_int, default=64,
+                 metavar="N",
+                 help="exemplars kept per /debug/tracez ring "
+                      "(recent/slow/errors)"),
         ),
-    )
-    p.add_argument("--url", default=None,
-                   help="daemon base URL (default: boot an in-process "
-                        "daemon for the run)")
-    p.add_argument("--preset", choices=LOADGEN_PRESETS, default="demo")
-    p.add_argument("--clients", type=_positive_int, default=4, metavar="N",
-                   help="concurrent closed-loop client threads")
-    p.add_argument("--requests", type=_positive_int, default=25, metavar="N",
-                   help="timed requests per client")
-    p.add_argument("--distinct", type=_positive_int, default=1, metavar="K",
-                   help="distinct request fingerprints to rotate over "
-                        "(walks a frequency ladder)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="request-schedule seed (deterministic mix)")
-    p.add_argument("--size", type=int, default=None,
-                   help="preset size parameter")
-    p.add_argument("--levels", type=int, default=None,
-                   help="pyramid levels (fig5)")
-    p.add_argument("--iters", type=int, default=None,
-                   help="Jacobi iterations (fig5, jacobi)")
-    p.add_argument("--kernels", type=int, default=None,
-                   help="probe-graph node count (chain/fan/grid)")
-    p.add_argument("--seed-param", type=int, default=None, metavar="SEED",
-                   help="probe-graph jitter seed (chain/fan/grid)")
-    p.add_argument("--json", metavar="PATH", default=None,
-                   help="bench-document output path (BENCH artifact)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_loadgen)
+        groups=(PLANNER_OPTIONS, CACHE_OPTIONS),
+    ),
+    Subcommand(
+        "client", _cmd_client, "talk to a running `ktiler serve` daemon",
+        options=(
+            _opt("action", choices=SERVE_CLIENT_ACTIONS),
+            _opt("--url", default="http://127.0.0.1:8750",
+                 help="daemon base URL"),
+            _opt("--preset", choices=PROFILE_PRESETS, default="demo",
+                 help="application preset to plan/explain"),
+        ) + _APP_PARAM_OPTIONS + (
+            _opt("--seed", type=int, default=None,
+                 help="probe-graph jitter seed (chain/fan/grid)"),
+            _opt("--gpu-base",
+                 choices=("scaled", "paper", "embedded", "desktop"),
+                 default=None,
+                 help="GpuSpec preset (server default: scaled)"),
+            _opt("--gpu-mhz", type=float, default=None,
+                 help="core frequency (default: nominal)"),
+            _opt("--mem-mhz", type=float, default=None,
+                 help="memory frequency (default: nominal)"),
+            _opt("--measure", action="store_true",
+                 help="also replay the plan and return wire timing "
+                      "(blocking + streamed)"),
+            _opt("--gpu-mhz-b", type=float, default=None, metavar="MHZ",
+                 help="diff action: side-B core frequency"),
+            _opt("--mem-mhz-b", type=float, default=None, metavar="MHZ",
+                 help="diff action: side-B memory frequency (default: side "
+                      "A at half memory frequency)"),
+            _opt("--strict", action="store_true",
+                 help="diff action: exit 2 when the ledgers diverge"),
+            _opt("--timeout-s", type=float, default=None, metavar="S",
+                 help="client-side request timeout forwarded to the "
+                      "daemon"),
+            _opt("--json", metavar="PATH", default=None,
+                 help="also write the full response JSON"),
+            _opt("--request-id", default=None, metavar="ID",
+                 help="X-Request-Id to send (default: the daemon mints one "
+                      "and echoes it back)"),
+        ),
+        groups=(L2_OPTIONS, PLANNER_OPTIONS),
+    ),
+    Subcommand(
+        "loadgen", _cmd_loadgen,
+        "closed-loop load generator against the serve daemon; emits a "
+        "schema-valid bench document (req/s, p50/p99)",
+        options=(
+            _opt("--url", default=None,
+                 help="daemon base URL (default: boot an in-process daemon "
+                      "for the run)"),
+            _opt("--preset", choices=LOADGEN_PRESETS, default="demo"),
+            _opt("--clients", type=_positive_int, default=4, metavar="N",
+                 help="concurrent closed-loop client threads"),
+            _opt("--requests", type=_positive_int, default=25, metavar="N",
+                 help="timed requests per client"),
+            _opt("--distinct", type=_positive_int, default=1, metavar="K",
+                 help="distinct request fingerprints to rotate over (walks "
+                      "a frequency ladder)"),
+            _opt("--seed", type=int, default=0,
+                 help="request-schedule seed (deterministic mix)"),
+        ) + _APP_PARAM_OPTIONS + (
+            _opt("--seed-param", type=int, default=None, metavar="SEED",
+                 help="probe-graph jitter seed (chain/fan/grid)"),
+            _opt("--json", metavar="PATH", default=None,
+                 help="bench-document output path (BENCH artifact)"),
+        ),
+        groups=(PLANNER_OPTIONS,),
+    ),
+)
 
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="ktiler",
+        description="KTILER (DATE 2019) reproduction experiments",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command in SUBCOMMANDS:
+        # No prefix matching: a flag a subcommand does not take must
+        # not pass as an abbreviation of one it does (``serve --trace``
+        # for ``--tracez-capacity``).
+        p = sub.add_parser(
+            command.name,
+            help=command.help,
+            description=command.description,
+            allow_abbrev=False,
+        )
+        for group in (command.options,) + command.groups:
+            for flags, kwargs in group:
+                p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=command.run, spec_base=command.spec_base)
     return parser
 
 
@@ -1096,12 +1077,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     # Subcommands that simulate a device declare its base spec; resolve
     # it here, before any app is built, so a size the L2 geometry cannot
     # hold is a usage error rather than a traceback.
-    spec_base = getattr(args, "spec_base", None)
-    if spec_base is not None:
-        try:
-            args.spec = _resolve_spec(spec_base, args)
-        except ConfigurationError as exc:
-            parser.error(f"argument --l2-kb: {exc}")
+    if args.spec_base is not None:
+        args.spec = args.spec_base
+        if args.l2_kb is not None:
+            try:
+                args.spec = spec_with_l2(args.spec_base, args.l2_kb * 1024)
+            except ConfigurationError as exc:
+                parser.error(f"argument --l2-kb: {exc}")
     start = time.time()
     code = args.func(args)
     print(f"[{time.time() - start:.1f}s]", file=sys.stderr)

@@ -10,10 +10,11 @@ from repro.core.fast_cluster import (
     make_partition,
     resolve_planner_backend,
 )
+# The submodule, not its ``cluster_tile`` function, stays bound to
+# ``repro.core.cluster_tile``: import the function from the submodule.
 from repro.core.cluster_tile import (
     ClusterTiling,
     cluster_sinks,
-    cluster_tile,
     in_cluster_input_combo,
 )
 from repro.core.ktiler import KTiler, KTilerConfig
@@ -68,7 +69,6 @@ __all__ = [
     "PLANNER_BACKENDS",
     "PLANNER_BACKEND_ENV_VAR",
     "ClusterTiling",
-    "cluster_tile",
     "cluster_sinks",
     "in_cluster_input_combo",
     "application_tile",

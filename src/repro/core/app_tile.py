@@ -246,7 +246,7 @@ def application_tile(
         if tiling is _MISSING:
             stats.tilings_evaluated += 1
             with tracer.span(
-                "tile.cluster", cat="scheduler", nodes=len(merged_nodes)
+                "tile.cluster", cat="tile", nodes=len(merged_nodes)
             ):
                 structure = structures.get(merged_nodes)
                 if structure is None:

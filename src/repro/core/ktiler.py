@@ -134,7 +134,7 @@ class KTiler:
             # The analyzer's simulator stays untraced on purpose: its
             # cache traffic is analysis input, not a measurement, and
             # would pollute the sim.* counters.
-            with self.tracer.span("ktiler.instrument", cat="analyzer"):
+            with self.tracer.span("ktiler.instrument", cat="trace"):
                 self._run = run_instrumented(self.graph, GpuSimulator(self.spec))
             if key is not None:
                 self.store.put(
@@ -156,7 +156,7 @@ class KTiler:
                 if payload is not None:
                     self._block_graph = block_graph_from_dict(payload)
                     return self._block_graph
-            with self.tracer.span("ktiler.block_graph", cat="analyzer"):
+            with self.tracer.span("ktiler.block_graph", cat="block_graph"):
                 self._block_graph = build_block_graph(
                     self.instrumented_run.trace,
                     include_anti=self.config.include_anti,
@@ -170,7 +170,7 @@ class KTiler:
     @property
     def mem_lines(self) -> BlockMemoryLines:
         if self._mem_lines is None:
-            with self.tracer.span("ktiler.mem_lines", cat="analyzer"):
+            with self.tracer.span("ktiler.mem_lines", cat="block_graph"):
                 self._mem_lines = BlockMemoryLines.from_trace(
                     self.instrumented_run.trace,
                     self.graph,
@@ -241,7 +241,7 @@ class KTiler:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-        with self.tracer.span("ktiler.plan", cat="scheduler", freq=freq.label):
+        with self.tracer.span("ktiler.plan", cat="partition", freq=freq.label):
             result = application_tile(
                 graph=self.graph,
                 block_graph=self.block_graph,

@@ -52,13 +52,15 @@ def grid_ladder(num_blocks: int, fractions: Sequence[float] = DEFAULT_GRID_FRACT
 
 def _read_lines_from(kernel: KernelSpec, blocks: Iterable[int], combo: InputCombo,
                      line_shift: int) -> Set[int]:
-    """Lines the given blocks read from the combo's buffers.
+    """Lines the given blocks read from the combo's buffers, as a set.
 
     Uses the kernels' memoized read-range triples so repeated probes
     (one per combo x grid-ladder point) cost C-speed ``set.update``
-    calls instead of re-enumerating AccessRange objects.  Insertion
-    order matches the access-range program order exactly, so the LRU
-    state produced by warming the cache with this set is unchanged.
+    calls instead of re-enumerating AccessRange objects.  The caller
+    warms the L2 in the set's *iteration* order, which is neither
+    program order nor sorted order: a set of ints iterates in hash-slot
+    order.  The performance tables depend on that order, so a rewrite
+    of the warm must reproduce it, or change the tables on purpose.
     """
     lines: Set[int] = set()
     for bid in blocks:
@@ -183,7 +185,7 @@ class KernelProfiler:
                         profile.tallies[(combo, grid)] = restored[grid]
                     return profile
         with self.tracer.span(
-            "profiler.measure", cat="analyzer",
+            "profiler.measure", cat="profile",
             kernel=kernel.name, grids=len(missing),
         ):
             for grid in missing:

@@ -29,6 +29,7 @@ from repro.core.fast_cluster import resolve_planner_backend
 from repro.gpusim.freq import FrequencyConfig, NOMINAL
 from repro.graph.kernel_graph import KernelGraph
 from repro.runtime.launcher import measure_at, tally_schedule
+from repro.runtime.report import default_tallies
 
 
 @dataclass(frozen=True)
@@ -78,12 +79,9 @@ def _measure(
         planner_backend=planner_backend,
     )
     plan = ktiler.plan(freq)
-    default_run = measure_at(
-        tally_schedule(
-            ktiler.default_schedule(), graph, spec
-        ),
-        spec, freq, gap_us,
-    )
+    # The instrumented run the plan was built from already replayed the
+    # default schedule; only the tiled schedule needs a replay.
+    default_run = measure_at(default_tallies(ktiler), spec, freq, gap_us)
     tiled_run = measure_at(
         tally_schedule(plan.schedule, graph, spec),
         spec, freq, gap_us,

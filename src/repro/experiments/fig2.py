@@ -114,7 +114,7 @@ def run_fig2(
         if payload is not None:
             block_graph = block_graph_from_dict(payload)
     if block_graph is None:
-        with tracer.span("fig2.analyze", cat="analyzer"):
+        with tracer.span("fig2.analyze", cat="trace"):
             run = None
             t_key = None
             if store.enabled:
@@ -133,7 +133,7 @@ def run_fig2(
             store.put("blockgraph", bg_key, block_graph_to_dict(block_graph))
 
     # --- default mode: producer full grid, then profile the consumer.
-    with tracer.span("fig2.default", cat="experiment"):
+    with tracer.span("fig2.default", cat="replay"):
         sim = GpuSimulator(used_spec, freq, tracer=tracer)
         for node in graph:
             if node.node_id == consumer.node_id:
@@ -147,7 +147,7 @@ def run_fig2(
     cone = block_graph.transitive_producers(
         [(consumer.node_id, bid) for bid in sub_blocks]
     )
-    with tracer.span("fig2.tiled", cat="experiment"):
+    with tracer.span("fig2.tiled", cat="replay"):
         sim = GpuSimulator(used_spec, freq, tracer=tracer)
         for node in graph:
             if node.node_id == consumer.node_id:

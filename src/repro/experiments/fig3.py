@@ -141,7 +141,7 @@ def run_fig3(
     )
     per_grid: List[List[LaunchTally]] = []
     for grid in sizes:
-        with tracer.span("fig3.grid", cat="experiment", grid=grid):
+        with tracer.span("fig3.grid", cat="replay", grid=grid):
             per_grid.append(
                 _steady_state_tallies(
                     used_spec,

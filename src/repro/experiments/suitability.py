@@ -208,7 +208,7 @@ def run_suitability(
     used_spec = spec if spec is not None else GpuSpec()
     rows = []
     for _, kernel in _kernel_zoo(n_1d, image_size):
-        with tracer.span("suitability.profile", cat="experiment", kernel=kernel.name):
+        with tracer.span("suitability.profile", cat="profile", kernel=kernel.name):
             row = _profile_kernel(kernel, used_spec, freq, min_fraction)
         rows.append(row)
         if tracer.enabled:

@@ -1,6 +1,6 @@
 """Observability: structured tracing, metrics, and Chrome-trace export.
 
-The subsystem has four pieces:
+The subsystem's pieces:
 
 * :mod:`repro.obs.tracer` — span/event API; the zero-overhead
   :data:`NULL_TRACER` is the default everywhere, so instrumentation is
@@ -16,6 +16,8 @@ The subsystem has four pieces:
 * :mod:`repro.obs.bench` — benchmark statistics (median/MAD/
   bootstrap CI), span-to-phase attribution, environment fingerprints,
   and the schema check of the load generator's bench document;
+* :mod:`repro.obs.doccheck` — the checks all six document validators
+  share (header, required keys, rows, counters, ``ci95``, JSON IO);
 * :mod:`repro.obs.pages` — the shared HTML page shell and the
   ``ktiler profile`` dashboard;
 * :mod:`repro.obs.histogram` / :mod:`repro.obs.ops` /
@@ -89,7 +91,6 @@ from repro.obs.bench import (
     SampleStats,
     bootstrap_ci,
     environment_fingerprint,
-    fingerprint_noise_key,
     mad,
     phase_breakdown,
     run_benchmark,
@@ -210,7 +211,6 @@ __all__ = [
     "SampleStats",
     "bootstrap_ci",
     "environment_fingerprint",
-    "fingerprint_noise_key",
     "mad",
     "phase_breakdown",
     "run_benchmark",

@@ -46,13 +46,13 @@ attached on the measurement paths.
 from __future__ import annotations
 
 import html
-import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.gpusim.dram import DramModel
 from repro.gpusim.freq import FrequencyConfig, NOMINAL
+from repro.obs import doccheck
 from repro.obs.pages import page
 from repro.obs.tracer import NULL_TRACER
 
@@ -573,7 +573,7 @@ def audit_schedule(
     weights = ktiler.edge_weights(freq)
     plan = ktiler.plan(freq)
 
-    with tracer.span("audit.replay", cat="audit", freq=freq.label):
+    with tracer.span("audit.replay", cat="replay", freq=freq.label):
         default = _audited_replay(
             ktiler.default_schedule(), graph, spec, freq, buffers, gap, tracer,
         )
@@ -662,9 +662,7 @@ _KERNEL_KEYS = ("schedule", "kernel", "accesses", "hits", "misses") + MISS_CLASS
 _HIST_KEYS = ("schedule", "kernel", "buffer", "cold", "buckets")
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValueError(f"invalid audit payload: {message}")
+_DOC = "audit payload"
 
 
 def validate_audit(payload: dict) -> dict:
@@ -674,62 +672,40 @@ def validate_audit(payload: dict) -> dict:
     payload unchanged on success (so it chains).  This is the check the
     CI ``explain-smoke`` job and the CLI smoke test both run.
     """
-    _require(isinstance(payload, dict), "payload is not an object")
-    _require(
-        payload.get("schema_version") == AUDIT_SCHEMA_VERSION,
-        f"schema_version != {AUDIT_SCHEMA_VERSION}",
-    )
+    doccheck.header(payload, _DOC, AUDIT_SCHEMA_VERSION)
     for key in ("preset", "freq"):
-        _require(isinstance(payload.get(key), str), f"missing string '{key}'")
-    summary = payload.get("summary")
-    _require(isinstance(summary, dict), "missing 'summary' object")
-    for key in _SUMMARY_KEYS:
-        _require(
-            isinstance(summary.get(key), (int, float)),
-            f"summary.{key} is not a number",
+        doccheck.require(
+            isinstance(payload.get(key), str), _DOC, f"missing string '{key}'"
         )
-    edges = payload.get("edges")
-    _require(isinstance(edges, list), "'edges' is not a list")
-    for i, e in enumerate(edges):
-        for key in _EDGE_KEYS:
-            _require(key in e, f"edges[{i}] missing '{key}'")
-        _require(
-            e["hit_delta"] == e["tiled_hits"] - e["default_hits"],
-            f"edges[{i}] hit_delta inconsistent",
-        )
-    kernels = payload.get("kernels")
-    _require(isinstance(kernels, list) and kernels, "'kernels' missing/empty")
+    summary = doccheck.section(payload, "summary", _DOC)
+    doccheck.numbers(summary, _SUMMARY_KEYS, _DOC, "summary")
+    for i, e in enumerate(doccheck.rows(payload, "edges", _DOC, _EDGE_KEYS)):
+        if e["hit_delta"] != e["tiled_hits"] - e["default_hits"]:
+            doccheck.fail(_DOC, f"edges[{i}] hit_delta inconsistent")
+    kernels = doccheck.rows(
+        payload, "kernels", _DOC, _KERNEL_KEYS, nonempty=True
+    )
     for i, row in enumerate(kernels):
-        for key in _KERNEL_KEYS:
-            _require(key in row, f"kernels[{i}] missing '{key}'")
-        _require(
-            row["cold"] + row["capacity"] + row["conflict"] == row["misses"],
-            f"kernels[{i}] miss classes do not partition misses",
-        )
-        _require(
-            row["hits"] + row["misses"] == row["accesses"],
-            f"kernels[{i}] hits+misses != accesses",
-        )
-    hists = payload.get("reuse_histograms")
-    _require(isinstance(hists, list), "'reuse_histograms' is not a list")
+        if row["cold"] + row["capacity"] + row["conflict"] != row["misses"]:
+            doccheck.fail(
+                _DOC, f"kernels[{i}] miss classes do not partition misses"
+            )
+        if row["hits"] + row["misses"] != row["accesses"]:
+            doccheck.fail(_DOC, f"kernels[{i}] hits+misses != accesses")
+    hists = doccheck.rows(payload, "reuse_histograms", _DOC, _HIST_KEYS)
     for i, row in enumerate(hists):
-        for key in _HIST_KEYS:
-            _require(key in row, f"reuse_histograms[{i}] missing '{key}'")
-        _require(
-            isinstance(row["buckets"], dict),
-            f"reuse_histograms[{i}].buckets is not an object",
-        )
-    ledger = payload.get("ledger")
+        doccheck.keys(row["buckets"], (), _DOC, f"reuse_histograms[{i}].buckets")
+    # Optional, additive: audits of plans that carry a decision ledger
+    # embed its decisive entries so edge rows can link to the decision
+    # that created (or rejected) them.
+    ledger = doccheck.section(
+        payload, "ledger", _DOC, ("digest", "summary", "entries"),
+        optional=True,
+    )
     if ledger is not None:
-        # Optional, additive: audits of plans that carry a decision
-        # ledger embed its decisive entries so edge rows can link to
-        # the decision that created (or rejected) them.
-        _require(isinstance(ledger, dict), "'ledger' is not an object")
-        for key in ("digest", "summary", "entries"):
-            _require(key in ledger, f"ledger missing '{key}'")
-        _require(
+        doccheck.require(
             isinstance(ledger["entries"], list),
-            "ledger.entries is not a list",
+            _DOC, "ledger.entries is not a list",
         )
     return payload
 
@@ -877,8 +853,7 @@ def write_audit(
     """Write the JSON (and optional HTML) artifacts; returns the payload."""
     payload = validate_audit(audit.to_json_dict(preset=preset))
     if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        doccheck.write_json(json_path, payload)
     if html_path:
         with open(html_path, "w", encoding="utf-8") as fh:
             fh.write(render_html(payload))

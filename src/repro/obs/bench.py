@@ -15,14 +15,13 @@ Pieces, bottom to top:
 * **phase attribution** — :func:`phase_breakdown` folds a tracer's
   wall-clock span events into the pipeline phases (trace → block graph
   → profile → partition → tile → replay), using *exclusive* span time
-  so nested spans are never double-counted.  The serve request log and
-  ``ktiler profile`` both attribute time this way.
+  so nested spans are never double-counted.  A span declares its phase
+  where it is emitted, as its category (``tracer.span("tile.cluster",
+  cat="tile")``).  The serve request log and ``ktiler profile`` both
+  attribute time this way.
 * **environment fingerprint** — :func:`environment_fingerprint`
   attaches git sha, python, platform, cpu count and planner backend
-  to every document; :func:`fingerprint_noise_key` hashes
-  the machine-stable subset (the git sha is deliberately excluded: it
-  changes every commit without changing the machine's noise profile),
-  so a reader knows when two documents are comparable.
+  to every document.
 * **harness** — :func:`run_benchmark` (warmup + N timed repeats of one
   callable under a fresh tracer each), and the schema check
   :func:`validate_bench` of the bench-run document the load generator
@@ -40,35 +39,22 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.obs import doccheck
 from repro.obs.tracer import Tracer
-from repro.store.fingerprint import content_key
 
 #: Version stamp of every bench-run document.  v2 added the loadgen
 #: outcome decomposition + latency histograms.
 BENCH_SCHEMA_VERSION = 2
 
-#: Pipeline phases, in pipeline order.  ``other`` absorbs spans with no
-#: mapping and the un-spanned remainder of the wall time.
+#: Pipeline phases, in pipeline order: the paper's instrumented run
+#: (``trace``), block dependency graph, performance tables
+#: (``profile``), Algorithm 1 (``partition``), Algorithm 2 (``tile``)
+#: and the schedule replay.  A wall-clock span's category is its phase;
+#: ``other`` absorbs spans of any other category (the ``serve`` request
+#: spans among them) and the un-spanned remainder of the wall time.
 PHASES = (
     "trace", "block_graph", "profile", "partition", "tile", "replay", "other",
 )
-
-#: Span name -> phase.
-_PHASE_BY_SPAN = {
-    "ktiler.instrument": "trace",
-    "fig2.analyze": "trace",
-    "ktiler.block_graph": "block_graph",
-    "ktiler.mem_lines": "block_graph",
-    "profiler.measure": "profile",
-    "suitability.profile": "profile",
-    "ktiler.plan": "partition",
-    "tile.cluster": "tile",
-    "tally_schedule": "replay",
-    "audit.replay": "replay",
-    "fig2.default": "replay",
-    "fig2.tiled": "replay",
-    "fig3.grid": "replay",
-}
 
 
 # ----------------------------------------------------------------------
@@ -184,22 +170,19 @@ class SampleStats:
 # ----------------------------------------------------------------------
 # Phase attribution
 # ----------------------------------------------------------------------
-def span_phase(event: dict) -> Optional[str]:
-    """The pipeline phase a wall-clock span belongs to, or None."""
-    return _PHASE_BY_SPAN.get(event.get("name", ""))
-
-
 def phase_breakdown(
     events: Sequence[dict], wall_s: Optional[float] = None
 ) -> Dict[str, float]:
     """Fold wall-clock span events into per-phase *exclusive* seconds.
 
-    Nested spans (``ktiler.plan`` containing ``tile.cluster`` containing
-    ``profiler.measure``) are resolved by containment: each span's
-    duration minus its direct children's durations counts toward its
-    own phase, so the totals partition the spanned time exactly.  With
-    ``wall_s`` given, the un-spanned remainder of the wall time is
-    added to ``other`` and the breakdown sums to ``wall_s``.
+    A span's phase is its category (``cat``); a category outside
+    :data:`PHASES` counts as ``other``.  Nested spans (``ktiler.plan``
+    containing ``tile.cluster`` containing ``profiler.measure``) are
+    resolved by containment: each span's duration minus its direct
+    children's durations counts toward its own phase, so the totals
+    partition the spanned time exactly.  With ``wall_s`` given, the
+    un-spanned remainder of the wall time is added to ``other`` and
+    the breakdown sums to ``wall_s``.
     """
     spans = [
         e for e in events
@@ -221,8 +204,8 @@ def phase_breakdown(
         stack.append((ts + dur, i))
     totals = {phase: 0.0 for phase in PHASES}
     for e, excl_us in zip(spans, exclusive):
-        phase = span_phase(e) or "other"
-        totals[phase] += max(0.0, excl_us) / 1e6
+        phase = e.get("cat")
+        totals[phase if phase in totals else "other"] += max(0.0, excl_us) / 1e6
     if wall_s is not None:
         totals["other"] += max(0.0, wall_s - top_level_us / 1e6)
     return totals
@@ -231,12 +214,11 @@ def phase_breakdown(
 # ----------------------------------------------------------------------
 # Environment fingerprint
 # ----------------------------------------------------------------------
-#: Fingerprint fields that shape the machine's noise profile; the hash
-#: of these (:func:`fingerprint_noise_key`) says when two documents'
-#: timings are comparable.
-NOISE_KEY_FIELDS = (
-    "python", "implementation", "platform", "machine", "cpu_count",
-    "planner_backend", "numpy",
+#: Fields of the environment block every bench and profile document
+#: carries: what a sample's value may depend on, plus the git sha.
+ENVIRONMENT_FIELDS = (
+    "git_sha", "python", "implementation", "platform", "machine",
+    "cpu_count", "planner_backend", "numpy",
 )
 
 
@@ -266,7 +248,7 @@ def environment_fingerprint(planner_backend: Optional[str] = None) -> dict:
     """
     from repro.core.fast_cluster import resolve_planner_backend
 
-    fp = {
+    return {
         "git_sha": _git_sha(),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
@@ -276,18 +258,6 @@ def environment_fingerprint(planner_backend: Optional[str] = None) -> dict:
         "planner_backend": resolve_planner_backend(planner_backend),
         "numpy": np.__version__,
     }
-    fp["noise_key"] = fingerprint_noise_key(fp)
-    return fp
-
-
-def fingerprint_noise_key(fp: dict) -> str:
-    """sha256 over the machine-stable fingerprint fields.
-
-    Two runs are noise-comparable iff their keys match.  The git sha is
-    excluded on purpose: the point is comparing *across* commits on one
-    machine.
-    """
-    return content_key({k: fp.get(k) for k in NOISE_KEY_FIELDS})
 
 
 # ----------------------------------------------------------------------
@@ -392,33 +362,26 @@ def run_benchmark(
 # ----------------------------------------------------------------------
 # Schema check
 # ----------------------------------------------------------------------
+_DOC = "bench document"
 _STATS_KEYS = ("samples", "median", "mad", "mean", "min", "max", "ci95",
                "outliers")
-_ENV_KEYS = ("git_sha", "noise_key") + NOISE_KEY_FIELDS
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValueError(f"invalid bench document: {message}")
+_ROW_KEYS = ("name", "repeats", "warmup", "wall_s", "cpu_s", "phases")
 
 
 def _check_stats(stats: object, where: str) -> None:
-    _require(isinstance(stats, dict), f"{where} is not an object")
-    for key in _STATS_KEYS:
-        _require(key in stats, f"{where} missing '{key}'")
-    _require(
+    doccheck.keys(stats, _STATS_KEYS, _DOC, where)
+    doccheck.require(
         isinstance(stats["samples"], list) and stats["samples"],
-        f"{where}.samples missing/empty",
+        _DOC, f"{where}.samples missing/empty",
     )
-    _require(
+    doccheck.require(
         len(stats["samples"]) >= len(stats["outliers"]),
-        f"{where} has more outliers than samples",
+        _DOC, f"{where} has more outliers than samples",
     )
-    lo, hi = stats["ci95"]
-    _require(lo <= hi, f"{where}.ci95 is not ordered")
-    _require(
+    doccheck.ordered_ci(stats, _DOC, where)
+    doccheck.require(
         stats["min"] <= stats["median"] <= stats["max"],
-        f"{where} median outside [min, max]",
+        _DOC, f"{where} median outside [min, max]",
     )
 
 
@@ -428,80 +391,49 @@ def validate_bench(doc: dict) -> dict:
     Raises :class:`ValueError` on the first violation (so it chains);
     run by ``ktiler loadgen`` on everything it writes.
     """
-    _require(isinstance(doc, dict), "document is not an object")
-    _require(
-        doc.get("schema_version") == BENCH_SCHEMA_VERSION,
-        f"schema_version != {BENCH_SCHEMA_VERSION}",
-    )
-    _require(doc.get("kind") == "bench-run", "kind != 'bench-run'")
-    env = doc.get("environment")
-    _require(isinstance(env, dict), "missing 'environment' object")
-    for key in _ENV_KEYS:
-        _require(key in env, f"environment missing '{key}'")
-    _require(
-        env["noise_key"] == fingerprint_noise_key(env),
-        "environment.noise_key does not match its fields",
-    )
-    config = doc.get("config")
-    _require(isinstance(config, dict), "missing 'config' object")
-    for key in ("repeats", "warmup", "scale"):
-        _require(key in config, f"config missing '{key}'")
-    benchmarks = doc.get("benchmarks")
-    _require(
-        isinstance(benchmarks, list) and benchmarks,
-        "'benchmarks' missing/empty",
-    )
+    doccheck.header(doc, _DOC, BENCH_SCHEMA_VERSION, "bench-run")
+    doccheck.section(doc, "environment", _DOC, ENVIRONMENT_FIELDS)
+    doccheck.section(doc, "config", _DOC, ("repeats", "warmup", "scale"))
+    benchmarks = doccheck.rows(doc, "benchmarks", _DOC, _ROW_KEYS, nonempty=True)
     for i, bench in enumerate(benchmarks):
         where = f"benchmarks[{i}]"
-        _require(isinstance(bench, dict), f"{where} is not an object")
-        for key in ("name", "repeats", "warmup", "wall_s", "cpu_s", "phases"):
-            _require(key in bench, f"{where} missing '{key}'")
         _check_stats(bench["wall_s"], f"{where}.wall_s")
         _check_stats(bench["cpu_s"], f"{where}.cpu_s")
-        _require(
+        doccheck.require(
             len(bench["wall_s"]["samples"]) == bench["repeats"],
-            f"{where} repeats != wall sample count",
+            _DOC, f"{where} repeats != wall sample count",
         )
         phases = bench["phases"]
-        _require(isinstance(phases, dict), f"{where}.phases is not an object")
+        doccheck.require(
+            isinstance(phases, dict), _DOC, f"{where}.phases is not an object"
+        )
         for phase, stats in phases.items():
-            _require(phase in PHASES, f"{where} unknown phase '{phase}'")
-            _require(
-                isinstance(stats, dict)
-                and "median" in stats and "mad" in stats,
-                f"{where}.phases[{phase}] missing median/mad",
+            doccheck.require(
+                phase in PHASES, _DOC, f"{where} unknown phase '{phase}'"
             )
-        work = bench.get("work")
-        if work is not None:
-            _require(isinstance(work, dict), f"{where}.work is not an object")
-            for counter, value in work.items():
-                _require(
-                    isinstance(value, int) and value >= 0,
-                    f"{where}.work[{counter}] is not a non-negative int",
-                )
+            doccheck.keys(stats, ("median", "mad"), _DOC, f"{where}.phases[{phase}]")
+        if bench.get("work") is not None:
+            doccheck.counters(bench["work"], _DOC, f"{where}.work")
     names = [b["name"] for b in benchmarks]
-    _require(len(names) == len(set(names)), "duplicate benchmark names")
-    loadgen = doc.get("loadgen")
+    doccheck.require(
+        len(names) == len(set(names)), _DOC, "duplicate benchmark names"
+    )
+    loadgen = doccheck.section(doc, "loadgen", _DOC, optional=True)
     if loadgen is not None:
         _validate_loadgen_block(loadgen)
     return doc
 
 
-def _validate_loadgen_block(loadgen: object) -> None:
+def _validate_loadgen_block(loadgen: dict) -> None:
     """Loadgen extras: outcome decomposition + latency histograms."""
     from repro.obs.histogram import LogHistogram
 
-    _require(isinstance(loadgen, dict), "'loadgen' is not an object")
-    outcomes = loadgen.get("outcomes")
-    _require(isinstance(outcomes, dict), "loadgen missing 'outcomes'")
-    for tag, count in outcomes.items():
-        _require(
-            isinstance(count, int) and count >= 0,
-            f"loadgen.outcomes[{tag}] is not a non-negative int",
-        )
-    _require(
+    outcomes = doccheck.counters(
+        loadgen.get("outcomes"), _DOC, "loadgen.outcomes"
+    )
+    doccheck.require(
         sum(outcomes.values()) == loadgen.get("requests"),
-        "loadgen.outcomes do not sum to 'requests'",
+        _DOC, "loadgen.outcomes do not sum to 'requests'",
     )
     for key in ("latency_histogram", "server_histogram"):
         payload = loadgen.get(key)
@@ -512,7 +444,7 @@ def _validate_loadgen_block(loadgen: object) -> None:
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"loadgen.{key} malformed: {exc}") from exc
         if key == "latency_histogram":
-            _require(
+            doccheck.require(
                 hist.count == loadgen.get("requests"),
-                f"loadgen.{key} count != 'requests'",
+                _DOC, f"loadgen.{key} count != 'requests'",
             )

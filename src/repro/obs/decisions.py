@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.obs import doccheck
 from repro.store.fingerprint import content_key
 
 #: Schema version of the ledger document (``as_dict`` output).  Bump on
@@ -230,36 +231,34 @@ class DecisionLedger:
         return cls(entries=[dict(e) for e in payload["entries"]])
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValueError(f"invalid ledger document: {message}")
+_DOC = "ledger document"
 
 
 def validate_ledger(payload: Dict) -> Dict:
-    """Schema check of a ledger document; returns the payload (chains)."""
-    _require(isinstance(payload, dict), "not an object")
-    _require(
-        payload.get("schema_version") == LEDGER_SCHEMA_VERSION,
-        f"schema_version != {LEDGER_SCHEMA_VERSION}",
-    )
-    entries = payload.get("entries")
-    _require(isinstance(entries, list), "entries is not a list")
-    for index, entry in enumerate(entries):
-        _require(isinstance(entry, dict), f"entry {index} is not an object")
-        _require(entry.get("seq") == index, f"entry {index} seq mismatch")
+    """Schema check of a ledger document; returns the payload (chains).
+
+    Runs on every warm plan decode, so the per-entry loop formats a
+    message only when an entry fails.
+    """
+    doccheck.header(payload, _DOC, LEDGER_SCHEMA_VERSION)
+    for index, entry in enumerate(doccheck.rows(payload, "entries", _DOC)):
+        if entry.get("seq") != index:
+            doccheck.fail(_DOC, f"entries[{index}] seq mismatch")
         kind = entry.get("kind")
-        _require(kind in ENTRY_KINDS, f"entry {index} bad kind {kind!r}")
-        fields = _MERGE_FIELDS if kind == "merge" else _TILE_FIELDS
-        for name in fields:
-            _require(name in entry, f"entry {index} missing {name!r}")
-        if kind == "merge":
-            _require(
-                entry["outcome"] in MERGE_OUTCOMES,
-                f"entry {index} bad outcome {entry['outcome']!r}",
+        if kind not in ENTRY_KINDS:
+            doccheck.fail(_DOC, f"entries[{index}] bad kind {kind!r}")
+        merge = kind == "merge"
+        doccheck.keys(
+            entry, _MERGE_FIELDS if merge else _TILE_FIELDS,
+            _DOC, "entries", index,
+        )
+        if merge and entry["outcome"] not in MERGE_OUTCOMES:
+            doccheck.fail(
+                _DOC, f"entries[{index}] bad outcome {entry['outcome']!r}"
             )
-            _require(
-                entry["reason"] in MERGE_REASONS,
-                f"entry {index} bad reason {entry['reason']!r}",
+        if merge and entry["reason"] not in MERGE_REASONS:
+            doccheck.fail(
+                _DOC, f"entries[{index}] bad reason {entry['reason']!r}"
             )
     return payload
 

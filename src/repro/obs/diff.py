@@ -27,9 +27,9 @@ Both validate through :func:`validate_diff` and render through
 from __future__ import annotations
 
 import html
-import json
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs import doccheck
 from repro.obs.decisions import DecisionLedger
 from repro.obs.pages import page
 
@@ -291,61 +291,42 @@ _DIVERGENCE_KEYS = ("index", "fields", "edge_a", "edge_b",
 _WEIGHT_KEYS = ("edge", "weight_a_us", "weight_b_us", "delta_us")
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValueError(f"invalid diff payload: {message}")
+_DOC = "diff payload"
 
 
 def validate_diff(payload: Dict) -> Dict:
     """Check a diff document against the schema; returns it (chains)."""
-    _require(isinstance(payload, dict), "payload is not an object")
-    _require(
-        payload.get("schema_version") == DIFF_SCHEMA_VERSION,
-        f"schema_version != {DIFF_SCHEMA_VERSION}",
-    )
-    kind = payload.get("kind")
-    _require(kind in DIFF_KINDS, f"bad kind {kind!r}")
+    doccheck.header(payload, _DOC, DIFF_SCHEMA_VERSION, DIFF_KINDS)
     for key in ("label_a", "label_b"):
-        _require(isinstance(payload.get(key), str), f"missing string '{key}'")
-    _require(isinstance(payload.get("identical"), bool),
-             "'identical' is not a bool")
-    ledger = payload.get("ledger")
-    _require(isinstance(ledger, dict), "missing 'ledger' object")
-    for key in _LEDGER_KEYS:
-        _require(key in ledger, f"ledger missing '{key}'")
-    divergence = payload.get("divergence")
-    if divergence is not None:
-        _require(isinstance(divergence, dict), "'divergence' is not an object")
-        for key in _DIVERGENCE_KEYS:
-            _require(key in divergence, f"divergence missing '{key}'")
+        doccheck.require(
+            isinstance(payload.get(key), str), _DOC, f"missing string '{key}'"
+        )
+    doccheck.require(
+        isinstance(payload.get("identical"), bool),
+        _DOC, "'identical' is not a bool",
+    )
+    doccheck.section(payload, "ledger", _DOC, _LEDGER_KEYS)
+    divergence = doccheck.section(
+        payload, "divergence", _DOC, _DIVERGENCE_KEYS, optional=True
+    )
     # identical => no divergence; the converse need not hold (the
     # merge streams can agree while tile-round events differ).
-    _require(
+    doccheck.require(
         not payload["identical"] or divergence is None,
-        "identical document carries a divergence",
+        _DOC, "identical document carries a divergence",
     )
-    changes = payload.get("edge_weight_changes")
-    _require(isinstance(changes, list), "'edge_weight_changes' is not a list")
-    for i, change in enumerate(changes):
-        for key in _WEIGHT_KEYS:
-            _require(key in change, f"edge_weight_changes[{i}] missing '{key}'")
-    if kind == "plan_diff":
-        summary = payload.get("summary")
-        _require(isinstance(summary, dict), "missing 'summary' object")
-        for key in _SUMMARY_KEYS:
-            _require(
-                isinstance(summary.get(key), (int, float)),
-                f"summary.{key} is not a number",
-            )
-        clusters = payload.get("clusters")
-        _require(isinstance(clusters, dict), "missing 'clusters' object")
+    doccheck.rows(payload, "edge_weight_changes", _DOC, _WEIGHT_KEYS)
+    if payload["kind"] == "plan_diff":
+        summary = doccheck.section(payload, "summary", _DOC)
+        doccheck.numbers(summary, _SUMMARY_KEYS, _DOC, "summary")
+        clusters = doccheck.section(payload, "clusters", _DOC)
         for key in ("only_a", "only_b"):
-            _require(isinstance(clusters.get(key), list),
-                     f"clusters.{key} is not a list")
-        _require(isinstance(payload.get("kernels"), list),
-                 "'kernels' is not a list")
-        _require(isinstance(payload.get("tilings"), list),
-                 "'tilings' is not a list")
+            doccheck.require(
+                isinstance(clusters.get(key), list),
+                _DOC, f"clusters.{key} is not a list",
+            )
+        doccheck.rows(payload, "kernels", _DOC)
+        doccheck.rows(payload, "tilings", _DOC)
     return payload
 
 
@@ -504,8 +485,7 @@ def write_diff(
     """Write the JSON (and optional HTML) artifacts; returns the payload."""
     payload = validate_diff(payload)
     if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        doccheck.write_json(json_path, payload)
     if html_path:
         with open(html_path, "w", encoding="utf-8") as fh:
             fh.write(render_diff_html(payload))

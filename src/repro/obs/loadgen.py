@@ -37,7 +37,6 @@ warm-up included) whose bucket counts match the daemon's own
 
 from __future__ import annotations
 
-import json
 import random
 import threading
 import time
@@ -45,6 +44,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.obs import doccheck
 from repro.obs.bench import (
     BENCH_SCHEMA_VERSION,
     SampleStats,
@@ -115,7 +115,7 @@ def build_loadgen_doc(
     """Roll latencies up into a schema-valid bench document.
 
     Pure given its inputs (modulo ``created_unix`` defaulting to now),
-    so the synthetic p99-step detector test drives it directly.
+    so tests drive it directly with synthetic latencies.
 
     ``per_client_outcomes`` carries each timed request's ``served``
     tag; omitted (offline/synthetic docs) every request counts as
@@ -334,6 +334,4 @@ def run_loadgen(
 
 
 def write_doc(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    doccheck.write_json(path, validate_bench(doc), indent=1, newline=True)

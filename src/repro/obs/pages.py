@@ -170,8 +170,7 @@ def render_profile_html(doc: dict) -> str:
         "<p class='summary'>"
         f"app <b>{esc(doc['app'])}</b> &middot; "
         f"commit <code>{esc(str(env['git_sha'])[:12])}</code> &middot; "
-        f"python {esc(env['python'])} &middot; "
-        f"noise key <code>{esc(env['noise_key'][:12])}</code>"
+        f"python {esc(env['python'])}"
         "</p>",
     ]
     if "work" in doc:

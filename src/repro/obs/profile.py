@@ -49,11 +49,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.obs import doccheck
 from repro.obs.bench import (
     _BOOTSTRAP_SEED,
+    ENVIRONMENT_FIELDS,
     PHASES,
     environment_fingerprint,
-    fingerprint_noise_key,
     mad,
     median,
     phase_breakdown,
@@ -622,17 +623,12 @@ def build_profile_doc(
     return validate_profile(doc)
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValueError(f"invalid profile document: {message}")
+_DOC = "profile document"
 
 
 def _check_fit(fit: object, where: str) -> None:
-    _require(isinstance(fit, dict), f"{where} is not an object")
-    for key in ("exponent", "ci95", "r2", "medians"):
-        _require(key in fit, f"{where} missing '{key}'")
-    lo, hi = fit["ci95"]
-    _require(lo <= hi, f"{where}.ci95 is not ordered")
+    doccheck.keys(fit, ("exponent", "ci95", "r2", "medians"), _DOC, where)
+    doccheck.ordered_ci(fit, _DOC, where)
 
 
 def validate_profile(doc: dict) -> dict:
@@ -642,85 +638,65 @@ def validate_profile(doc: dict) -> dict:
     ``ktiler profile`` on everything it writes and by the CI
     profile-smoke job on the uploaded artifact.
     """
-    _require(isinstance(doc, dict), "document is not an object")
-    _require(
-        doc.get("schema_version") == PROFILE_SCHEMA_VERSION,
-        f"schema_version != {PROFILE_SCHEMA_VERSION}",
-    )
-    _require(doc.get("kind") == "planner-profile", "kind != 'planner-profile'")
-    env = doc.get("environment")
-    _require(isinstance(env, dict), "missing 'environment' object")
-    _require("noise_key" in env, "environment missing 'noise_key'")
-    _require(
-        env["noise_key"] == fingerprint_noise_key(env),
-        "environment.noise_key does not match its fields",
-    )
-    _require(isinstance(doc.get("app"), str), "missing 'app' label")
-    _require(
+    doccheck.header(doc, _DOC, PROFILE_SCHEMA_VERSION, "planner-profile")
+    doccheck.section(doc, "environment", _DOC, ENVIRONMENT_FIELDS)
+    doccheck.require(isinstance(doc.get("app"), str), _DOC, "missing 'app' label")
+    doccheck.require(
         "work" in doc or "sweep" in doc,
-        "document carries neither a capture nor a sweep",
+        _DOC, "document carries neither a capture nor a sweep",
     )
-    work = doc.get("work")
-    if work is not None:
-        _require(isinstance(work, dict), "'work' is not an object")
+    if "work" in doc:
         known = set(_work_counter_names())
-        for counter, value in work.items():
-            _require(counter in known, f"unknown work counter '{counter}'")
-            _require(
-                isinstance(value, int) and value >= 0,
-                f"work[{counter}] is not a non-negative int",
+        for counter in doccheck.counters(doc["work"], _DOC, "work"):
+            doccheck.require(
+                counter in known, _DOC, f"unknown work counter '{counter}'"
             )
-    profile = doc.get("profile")
+    profile = doccheck.section(doc, "profile", _DOC, optional=True)
     if profile is not None:
-        _require(isinstance(profile, dict), "'profile' is not an object")
-        _require(
+        doccheck.require(
             profile.get("engine") in PROFILE_ENGINES,
-            f"profile.engine not in {PROFILE_ENGINES}",
+            _DOC, f"profile.engine not in {PROFILE_ENGINES}",
         )
-        frames = profile.get("frames")
-        _require(isinstance(frames, list), "profile.frames is not a list")
-        for i, frame in enumerate(frames):
-            _require(
-                isinstance(frame, dict)
-                and isinstance(frame.get("stack"), list)
-                and frame["stack"]
-                and "self_us" in frame
-                and "calls" in frame,
-                f"profile.frames[{i}] malformed",
+        for i, frame in enumerate(
+            doccheck.rows(profile, "frames", _DOC, ("self_us", "calls"))
+        ):
+            doccheck.require(
+                isinstance(frame.get("stack"), list) and frame["stack"],
+                _DOC, f"profile.frames[{i}] has no stack",
             )
-    sweep = doc.get("sweep")
+    sweep = doccheck.section(
+        doc, "sweep", _DOC,
+        ("shape", "sizes", "repeats", "points", "exponents"), optional=True,
+    )
     if sweep is not None:
-        _require(isinstance(sweep, dict), "'sweep' is not an object")
-        for key in ("shape", "sizes", "repeats", "points", "exponents"):
-            _require(key in sweep, f"sweep missing '{key}'")
-        _require(
+        doccheck.require(
             sweep["shape"] in _probe_shapes(),
-            f"sweep.shape not in {_probe_shapes()}",
+            _DOC, f"sweep.shape not in {_probe_shapes()}",
         )
         sizes = sweep["sizes"]
-        _require(
+        doccheck.require(
             isinstance(sizes, list) and len(sizes) >= 2
             and sizes == sorted(set(sizes)),
-            "sweep.sizes is not a sorted list of >= 2 distinct sizes",
+            _DOC, "sweep.sizes is not a sorted list of >= 2 distinct sizes",
         )
-        points = sweep["points"]
-        _require(
-            isinstance(points, list) and len(points) == len(sizes),
-            "sweep.points does not match sweep.sizes",
+        points = doccheck.rows(sweep, "points", _DOC, ("wall_s", "work"))
+        doccheck.require(
+            len(points) == len(sizes),
+            _DOC, "sweep.points does not match sweep.sizes",
         )
         for i, point in enumerate(points):
-            _require(
-                isinstance(point, dict)
-                and point.get("kernels") == sizes[i]
-                and "wall_s" in point and "work" in point,
-                f"sweep.points[{i}] malformed",
+            doccheck.require(
+                point.get("kernels") == sizes[i],
+                _DOC, f"sweep.points[{i}] is not at size {sizes[i]}",
             )
         exponents = sweep["exponents"]
-        _require(isinstance(exponents, dict), "sweep.exponents is not an object")
-        _check_fit(exponents.get("wall_s"), "sweep.exponents.wall_s")
+        doccheck.keys(exponents, ("wall_s", "phases", "work"), _DOC,
+                      "sweep.exponents")
+        _check_fit(exponents["wall_s"], "sweep.exponents.wall_s")
         for group in ("phases", "work"):
-            fits = exponents.get(group)
-            _require(isinstance(fits, dict), f"sweep.exponents.{group} missing")
+            fits = doccheck.keys(
+                exponents[group], (), _DOC, f"sweep.exponents.{group}"
+            )
             for name, fit in fits.items():
                 _check_fit(fit, f"sweep.exponents.{group}[{name}]")
     return doc
@@ -784,16 +760,8 @@ def compare_exponents(
 # ----------------------------------------------------------------------
 def write_profile(path: str, doc: dict) -> None:
     """Write a validated profile document as pretty JSON."""
-    import json
-
-    validate_profile(doc)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    doccheck.write_json(path, validate_profile(doc), newline=True)
 
 
 def load_profile(path: str) -> dict:
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        return validate_profile(json.load(fh))
+    return doccheck.load_json(path, validate_profile)

@@ -25,6 +25,8 @@ import threading
 import time
 from typing import Any, Dict, IO, Optional
 
+from repro.obs import doccheck
+
 __all__ = [
     "SLOG_KIND",
     "SLOG_SCHEMA_VERSION",
@@ -39,68 +41,59 @@ SLOG_SCHEMA_VERSION = 1
 SLOG_KIND = "serve-request"
 SLOG_OUTCOMES = ("ok", "memo_hit", "coalesced", "timeout", "error")
 
-_REQUIRED: Dict[str, type] = {
-    "schema_version": int,
-    "kind": str,
-    "ts_unix": float,
-    "request_id": str,
-    "endpoint": str,
-    "outcome": str,
-    "status": int,
-    "elapsed_ms": float,
-}
-_OPTIONAL = ("fingerprint", "preset", "served", "queue_wait_ms", "phases_ms",
-             "error")
+_DOC = "slog record"
+
+#: Required fields with their types (a bool is not a number here, and
+#: a float field takes an int).
+_REQUIRED = (
+    ("schema_version", int),
+    ("ts_unix", float),
+    ("request_id", str),
+    ("endpoint", str),
+    ("outcome", str),
+    ("status", int),
+    ("elapsed_ms", float),
+)
+_KNOWN = frozenset(
+    ("kind", "fingerprint", "preset", "served", "queue_wait_ms",
+     "phases_ms", "error")
+    + tuple(key for key, _ in _REQUIRED)
+)
+
+
+def _non_negative(value: Any) -> bool:
+    return isinstance(value, (int, float)) and value >= 0
 
 
 def validate_slog(record: Dict[str, Any]) -> Dict[str, Any]:
     """Raise ``ValueError`` unless ``record`` is a valid log line."""
-    if not isinstance(record, dict):
-        raise ValueError("slog record must be a dict")
-    for key, expected in _REQUIRED.items():
-        if key not in record:
-            raise ValueError(f"slog record missing {key!r}")
-        value = record[key]
-        if expected is float:
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        elif expected is int:
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        else:
-            ok = isinstance(value, expected)
-        if not ok:
-            raise ValueError(f"slog {key!r} must be {expected.__name__}")
-    if record["schema_version"] != SLOG_SCHEMA_VERSION:
-        raise ValueError(
-            f"slog schema_version != {SLOG_SCHEMA_VERSION}"
-        )
-    if record["kind"] != SLOG_KIND:
-        raise ValueError(f"slog kind != {SLOG_KIND!r}")
+    doccheck.header(record, _DOC, SLOG_SCHEMA_VERSION, SLOG_KIND)
+    for key, expected in _REQUIRED:
+        value = record.get(key)
+        if isinstance(value, bool) or not isinstance(
+            value, (int, float) if expected is float else expected
+        ):
+            doccheck.fail(_DOC, f"{key!r} must be {expected.__name__}")
     if record["outcome"] not in SLOG_OUTCOMES:
-        raise ValueError(f"slog outcome {record['outcome']!r} unknown")
-    if not record["request_id"]:
-        raise ValueError("slog request_id empty")
-    if record["elapsed_ms"] < 0:
-        raise ValueError("slog elapsed_ms negative")
-    unknown = set(record) - set(_REQUIRED) - set(_OPTIONAL)
-    if unknown:
-        raise ValueError(f"slog unknown fields: {sorted(unknown)}")
+        doccheck.fail(_DOC, f"outcome {record['outcome']!r} unknown")
+    doccheck.require(record["request_id"], _DOC, "request_id empty")
+    doccheck.require(record["elapsed_ms"] >= 0, _DOC, "elapsed_ms negative")
+    if not _KNOWN.issuperset(record):
+        doccheck.fail(_DOC, f"unknown fields: {sorted(set(record) - _KNOWN)}")
     phases = record.get("phases_ms")
-    if phases is not None:
-        if not isinstance(phases, dict) or any(
-            not isinstance(v, (int, float)) or v < 0 for v in phases.values()
-        ):
-            raise ValueError("slog phases_ms must map phase -> ms >= 0")
-    queue_wait = record.get("queue_wait_ms")
-    if queue_wait is not None and (
-        not isinstance(queue_wait, (int, float)) or queue_wait < 0
+    if phases is not None and (
+        not isinstance(phases, dict)
+        or not all(_non_negative(v) for v in phases.values())
     ):
-        raise ValueError("slog queue_wait_ms must be >= 0")
+        doccheck.fail(_DOC, "phases_ms must map phase -> ms >= 0")
+    queue_wait = record.get("queue_wait_ms")
+    if queue_wait is not None and not _non_negative(queue_wait):
+        doccheck.fail(_DOC, "queue_wait_ms must be >= 0")
     error = record.get("error")
-    if error is not None:
-        if not isinstance(error, dict) or not isinstance(
-            error.get("code"), str
-        ):
-            raise ValueError("slog error must be {'code': str, ...}")
+    if error is not None and not (
+        isinstance(error, dict) and isinstance(error.get("code"), str)
+    ):
+        doccheck.fail(_DOC, "error must be {'code': str, ...}")
     return record
 
 

@@ -88,7 +88,7 @@ def tally_schedule(
     labels: List[str] = []
     tallies: List[LaunchTally] = []
     with tracer.span(
-        "tally_schedule", cat="runtime", schedule=schedule.name,
+        "tally_schedule", cat="replay", schedule=schedule.name,
         launches=len(schedule),
     ):
         for sub in schedule:

@@ -9,9 +9,8 @@ suites:
 * **phase attribution** — synthetic nested span lists with known
   exclusive times, plus a real traced pipeline run covering every
   phase;
-* **fingerprint key sensitivity** — every noise-key field must change
-  the key, re-describing the identical environment must not, and the
-  git sha must NOT be part of it (``test_store`` style);
+* **environment fingerprint** — every recorded field is present and
+  the planner backend is the resolved one;
 * **the document schema** — :func:`validate_bench` accepts a valid
   bench-run document and names the first violation of a broken one.
 """
@@ -26,17 +25,16 @@ from hypothesis import strategies as st
 
 from repro.obs.bench import (
     BENCH_SCHEMA_VERSION,
-    NOISE_KEY_FIELDS,
+    ENVIRONMENT_FIELDS,
+    PHASES,
     SampleStats,
     bootstrap_ci,
     environment_fingerprint,
-    fingerprint_noise_key,
     mad,
     median,
     outlier_indices,
     phase_breakdown,
     run_benchmark,
-    span_phase,
     validate_bench,
 )
 from repro.obs.tracer import Tracer
@@ -117,28 +115,31 @@ class TestStatsOracles:
 # ----------------------------------------------------------------------
 # Phase attribution
 # ----------------------------------------------------------------------
-def _span(name, ts, dur, **args):
-    return {"name": name, "cat": "x", "ph": "X", "ts": ts, "dur": dur,
+def _span(name, phase, ts, dur, **args):
+    """A wall-clock span declaring ``phase`` as its category."""
+    return {"name": name, "cat": phase, "ph": "X", "ts": ts, "dur": dur,
             "args": args}
 
 
 class TestPhaseAttribution:
     def test_span_phase_mapping(self):
-        assert span_phase(_span("ktiler.instrument", 0, 1)) == "trace"
-        assert span_phase(_span("ktiler.block_graph", 0, 1)) == "block_graph"
-        assert span_phase(_span("profiler.measure", 0, 1)) == "profile"
-        assert span_phase(_span("ktiler.plan", 0, 1)) == "partition"
-        assert span_phase(_span("tile.cluster", 0, 1)) == "tile"
-        assert span_phase(_span("tally_schedule", 0, 1)) == "replay"
-        assert span_phase(_span("no.such.span", 0, 1)) is None
+        # A span's category is its phase, whatever its name; any other
+        # category (the serve request spans' "serve") counts as other.
+        for phase in PHASES:
+            totals = phase_breakdown([_span("any.name", phase, 0.0, 1_000.0)])
+            assert totals[phase] == pytest.approx(0.001), phase
+            assert sum(totals.values()) == pytest.approx(0.001)
+        for cat in ("serve", "app", None):
+            totals = phase_breakdown([_span("ktiler.plan", cat, 0.0, 1_000.0)])
+            assert totals["other"] == pytest.approx(0.001), cat
 
     def test_exclusive_time_subtracts_children(self):
         # plan [0, 100ms] containing measure [10, 30] and tile [50, 20]:
         # partition gets 100 - 30 - 20 = 50ms exclusive.
         events = [
-            _span("ktiler.plan", 0.0, 100_000.0),
-            _span("profiler.measure", 10_000.0, 30_000.0),
-            _span("tile.cluster", 50_000.0, 20_000.0),
+            _span("ktiler.plan", "partition", 0.0, 100_000.0),
+            _span("profiler.measure", "profile", 10_000.0, 30_000.0),
+            _span("tile.cluster", "tile", 50_000.0, 20_000.0),
         ]
         totals = phase_breakdown(events)
         assert totals["partition"] == pytest.approx(0.050)
@@ -148,9 +149,9 @@ class TestPhaseAttribution:
     def test_deep_nesting_resolves_by_containment(self):
         # plan > tile > measure: each level keeps only its own time.
         events = [
-            _span("ktiler.plan", 0.0, 90_000.0),
-            _span("tile.cluster", 10_000.0, 60_000.0),
-            _span("profiler.measure", 20_000.0, 30_000.0),
+            _span("ktiler.plan", "partition", 0.0, 90_000.0),
+            _span("tile.cluster", "tile", 10_000.0, 60_000.0),
+            _span("profiler.measure", "profile", 20_000.0, 30_000.0),
         ]
         totals = phase_breakdown(events)
         assert totals["partition"] == pytest.approx(0.030)
@@ -158,15 +159,15 @@ class TestPhaseAttribution:
         assert totals["profile"] == pytest.approx(0.030)
 
     def test_unknown_spans_and_wall_remainder_go_to_other(self):
-        events = [_span("mystery", 0.0, 10_000.0)]
+        events = [_span("mystery", "mystery", 0.0, 10_000.0)]
         totals = phase_breakdown(events, wall_s=0.025)
         assert totals["other"] == pytest.approx(0.025)  # 10ms span + 15ms gap
 
     def test_breakdown_partitions_the_wall_clock(self):
         events = [
-            _span("ktiler.instrument", 0.0, 5_000.0),
-            _span("ktiler.plan", 6_000.0, 20_000.0),
-            _span("tile.cluster", 8_000.0, 4_000.0),
+            _span("ktiler.instrument", "trace", 0.0, 5_000.0),
+            _span("ktiler.plan", "partition", 6_000.0, 20_000.0),
+            _span("tile.cluster", "tile", 8_000.0, 4_000.0),
         ]
         wall = 0.030
         totals = phase_breakdown(events, wall_s=wall)
@@ -195,41 +196,13 @@ class TestPhaseAttribution:
 class TestFingerprint:
     def test_fingerprint_has_every_field(self):
         fp = environment_fingerprint()
-        for key in ("git_sha", "noise_key") + NOISE_KEY_FIELDS:
-            assert key in fp, key
-        assert fp["noise_key"] == fingerprint_noise_key(fp)
-
-    def test_identical_environment_reproduces_the_key(self):
-        assert (
-            environment_fingerprint()["noise_key"]
-            == environment_fingerprint()["noise_key"]
-        )
-
-    def test_every_noise_field_changes_the_key(self):
-        base = environment_fingerprint()
-        base_key = base["noise_key"]
-        for field in NOISE_KEY_FIELDS:
-            perturbed = dict(base)
-            value = perturbed[field]
-            if isinstance(value, int):
-                perturbed[field] = value + 1
-            else:
-                perturbed[field] = str(value) + "-x"
-            assert fingerprint_noise_key(perturbed) != base_key, (
-                f"fingerprint field {field!r} does not affect the noise key"
-            )
-
-    def test_git_sha_is_not_part_of_the_noise_key(self):
-        base = environment_fingerprint()
-        perturbed = dict(base, git_sha="0" * 40)
-        assert fingerprint_noise_key(perturbed) == base["noise_key"]
+        assert set(fp) == set(ENVIRONMENT_FIELDS)
 
     def test_planner_backend_flows_into_the_fingerprint(self):
         fast = environment_fingerprint(planner_backend="fast")
         ref = environment_fingerprint(planner_backend="reference")
         assert fast["planner_backend"] == "fast"
         assert ref["planner_backend"] == "reference"
-        assert fast["noise_key"] != ref["noise_key"]
         assert "sim_backend" not in fast
 
 
@@ -242,7 +215,7 @@ class TestRunBenchmark:
 
         def fn(tracer):
             calls.append(tracer)
-            with tracer.span("tally_schedule", cat="bench"):
+            with tracer.span("tally_schedule", cat="replay"):
                 pass
 
         result = run_benchmark("x", fn, repeats=4, warmup=2)
@@ -335,7 +308,6 @@ class TestValidateBench:
             (lambda d: d.update(kind="other"), "kind"),
             (lambda d: d.pop("environment"), "environment"),
             (lambda d: d["environment"].pop("cpu_count"), "cpu_count"),
-            (lambda d: d["environment"].update(noise_key="bad"), "noise_key"),
             (lambda d: d.update(benchmarks=[]), "benchmarks"),
             (
                 lambda d: d["benchmarks"][0].pop("wall_s"),

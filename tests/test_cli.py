@@ -139,6 +139,70 @@ class TestCountFlags:
         assert "argument --l2-kb: l2_bytes must be divisible" in err
 
 
+#: (subcommand, flag) pairs the subcommand's handler never read; each
+#: is a usage error now.
+_FLAGS_A_SUBCOMMAND_IGNORES = [
+    ("fig2", "--planner-backend"),
+    ("fig3", "--planner-backend"), ("fig3", "--cache-dir"),
+    ("fig3", "--no-cache"),
+    ("suitability", "--planner-backend"), ("suitability", "--cache-dir"),
+    ("suitability", "--no-cache"),
+    ("ablation", "--l2-kb"), ("ablation", "--trace"), ("ablation", "--metrics"),
+    ("profile", "--cache-dir"), ("profile", "--no-cache"),
+    ("serve", "--l2-kb"), ("serve", "--trace"), ("serve", "--metrics"),
+    ("client", "--cache-dir"), ("client", "--no-cache"),
+    ("client", "--trace"), ("client", "--metrics"),
+    ("loadgen", "--l2-kb"), ("loadgen", "--cache-dir"),
+    ("loadgen", "--no-cache"), ("loadgen", "--trace"), ("loadgen", "--metrics"),
+]
+
+_FLAG_VALUES = {
+    "--planner-backend": ["fast"], "--cache-dir": ["c"], "--no-cache": [],
+    "--l2-kb": ["256"], "--trace": ["t.json"], "--metrics": ["m.prom"],
+}
+
+_POSITIONALS = {"ablation": ["threshold"], "client": ["plan"]}
+
+
+class TestOptionGroups:
+    """A subcommand takes only the shared option groups its handler
+    reads, so a flag it would ignore exits 2 before any work starts."""
+
+    @pytest.mark.parametrize(
+        "command, flag", _FLAGS_A_SUBCOMMAND_IGNORES,
+        ids=lambda value: value,
+    )
+    def test_ignored_flag_exits_2_with_usage(self, command, flag, capsys):
+        argv = [command] + _POSITIONALS.get(command, []) + [flag]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + _FLAG_VALUES[flag])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"unrecognized arguments: {flag}" in err
+
+    def test_flag_instances(self):
+        """Flag instances across subcommands: 153 before the groups,
+        129 after; a new flag raises this count on purpose."""
+        import argparse
+
+        from repro.cli import SUBCOMMANDS
+
+        parser = build_parser()
+        (sub,) = [
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        flags = [
+            flag
+            for command in SUBCOMMANDS
+            for action in sub.choices[command.name]._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"
+        ]
+        assert len(flags) == 129
+
+
 class TestAblationCommand:
     @pytest.mark.parametrize("knob", ["threshold", "cache", "gap"])
     def test_sweep_is_called_with_arguments_it_accepts(

@@ -28,6 +28,17 @@ def analyze(graph, spec):
     return bdg, lines
 
 
+def test_dotted_import_binds_the_module():
+    """``repro.core`` does not re-export the function under its
+    submodule's name, so a dotted import binds the module."""
+    import inspect
+
+    import repro.core.cluster_tile as m
+
+    assert inspect.ismodule(m)
+    assert m.cluster_tile is cluster_tile and callable(m.tile_structure)
+
+
 @pytest.fixture(scope="module")
 def pipeline_setup():
     spec = GpuSpec()

@@ -165,3 +165,32 @@ class TestAblations:
     def test_cache_sweep_huge_cache_no_gain(self):
         result = cache_sweep(l2_sizes=(8 * 1024 * 1024,))
         assert result.rows[0].gain_with_ig == 0.0
+
+    def test_each_point_replays_only_its_tiled_schedule(self, monkeypatch):
+        """The default schedule's tallies come from the instrumented
+        run the plan was built from, so an ablation point makes one
+        ``tally_schedule`` call: the tiled schedule's."""
+        import repro.experiments.ablations as ablations
+        from repro.core.ktiler import KTiler, KTilerConfig
+        from repro.gpusim import GpuSpec
+        from repro.runtime.report import default_tallies
+
+        real = ablations.tally_schedule
+        replayed = []
+
+        def counting(schedule, *args, **kwargs):
+            replayed.append(schedule.name)
+            return real(schedule, *args, **kwargs)
+
+        monkeypatch.setattr(ablations, "tally_schedule", counting)
+        result = threshold_sweep(thresholds=(0.0, 1.0, 1e6))
+        assert len(replayed) == len(result.rows) == 3
+        assert "default" not in replayed
+        # Those tallies are the ones a replay of the default schedule
+        # gives, so every row stays what the replay gave.
+        graph = ablations._default_app()
+        spec = GpuSpec(l2_bytes=512 * 1024)
+        ktiler = KTiler(graph, spec=spec, config=KTilerConfig())
+        assert default_tallies(ktiler) == real(
+            ktiler.default_schedule(), graph, spec
+        )

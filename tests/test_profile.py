@@ -290,7 +290,11 @@ class TestProfileDocuments:
         assert sweep["sizes"] == [6, 10, 14]
         assert [p["kernels"] for p in sweep["points"]] == sweep["sizes"]
         exps = sweep["exponents"]
-        assert exps["wall_s"]["r2"] > 0.5
+        # The work-counter fits are exact, so their r² does not depend
+        # on the host; the wall-time fit's does, and its r² guard is
+        # benchmarks/test_perf_sweep_fit.py (perf-marked).
+        for counter in ("blocks_visited", "merge_probes"):
+            assert exps["work"][counter]["r2"] > 0.5, counter
         # Work exponents are exact. The reference planner's BFS makes
         # merge probing the one superlinear chain phase; the fast
         # planner's bitset probes are word-counted and stay linear at
@@ -311,7 +315,6 @@ class TestProfileDocuments:
             lambda d: d.update(kind="bench-run"),
             lambda d: d["work"].update(from_the_future=1),
             lambda d: d["work"].update(merge_probes=-1),
-            lambda d: d["environment"].update(noise_key="0" * 12),
             lambda d: d["profile"].update(engine="perf"),
             lambda d: d["profile"]["frames"].append({"stack": []}),
             lambda d: d["sweep"].update(shape="torus"),
@@ -322,7 +325,7 @@ class TestProfileDocuments:
         ],
         ids=[
             "no-app", "bad-version", "bad-kind", "unknown-counter",
-            "negative-counter", "stale-noise-key", "bad-engine",
+            "negative-counter", "bad-engine",
             "empty-frame-stack", "bad-shape", "duplicate-size",
             "points-mismatch", "no-wall-fit", "unordered-ci",
         ],
