@@ -11,6 +11,14 @@ Measured ~8-20x on the development machine; floor 3.0x.  Both runs
 the clock is read.  Medians land in ``BENCH_perf.json`` and the CI job
 summary.
 
+A second guard times what a DVFS sweep pays per new operating point:
+one ``run_fig5`` over the four stored points plus a point the store has
+no plan for, against a cold run of that point alone.  The warm run
+restores the trace, block graph, profiles and Algorithm 2 structures,
+so it only plans (Algorithm 1 and Algorithm 2's cost pass) and checks
+the new schedule.  Measured 4.0-6.0x on a 2-vCPU box, against 2.0x
+when the store kept no structures; floor 2.5x.
+
 The whole module carries the ``perf`` marker: tier-1 excludes it by
 marker, the CI bench job opts in with ``-m perf``.
 """
@@ -24,6 +32,7 @@ from conftest import update_bench_json
 pytestmark = pytest.mark.perf
 
 WARM_FIG5_FLOOR = 3.0
+NEW_POINT_FLOOR = 2.5
 
 #: Reduced fig5 scale: same code path, ~4x faster cold run so the
 #: benchmark stays CI-friendly. The store serves the same artifacts.
@@ -99,4 +108,67 @@ def test_warm_cache_fig5_speedup(tmp_path):
     assert ratio >= WARM_FIG5_FLOOR, (
         f"warm artifact-cache fig5 only {ratio:.2f}x over cold "
         f"(floor {WARM_FIG5_FLOOR}x, median of {cold_res.repeats})"
+    )
+
+
+def test_warm_store_new_point_speedup(tmp_path):
+    from repro.experiments import run_fig5
+    from repro.gpusim.freq import FIG5_CONFIGS, FrequencyConfig
+    from repro.obs.bench import run_benchmark
+    from repro.store import ArtifactStore
+
+    # Points of the bench's DVFS ladder: each repeat meets a point the
+    # store holds no plan for.
+    points = iter(
+        FrequencyConfig(gpu, mem)
+        for mem in (810.0, 1000.0)
+        for gpu in (1324.0, 1189.0, 1050.0, 924.0, 797.0, 666.0)
+    )
+    store_dir = tmp_path / "warm"
+    run_fig5(store=ArtifactStore(store_dir), **FIG5_KWARGS)
+
+    check = next(points)
+    cold_check = run_fig5(configs=(check,), **FIG5_KWARGS)
+    warm_store = ArtifactStore(store_dir)
+    warm_check = run_fig5(
+        configs=tuple(FIG5_CONFIGS) + (check,), store=warm_store, **FIG5_KWARGS
+    )
+    assert _rows(warm_check)[-1] == _rows(cold_check)[0]
+    assert warm_store.misses == 1 and warm_store.corrupt == 0, (
+        "the new point recomputed more than its plan"
+    )
+
+    cold_res = run_benchmark(
+        "fig5.new_point.cold",
+        lambda tracer: run_fig5(configs=(next(points),), **FIG5_KWARGS),
+        repeats=3, warmup=0,
+    )
+    warm_res = run_benchmark(
+        "fig5.new_point.warm",
+        lambda tracer: run_fig5(
+            configs=tuple(FIG5_CONFIGS) + (next(points),),
+            store=ArtifactStore(store_dir),
+            **FIG5_KWARGS,
+        ),
+        repeats=3, warmup=1,
+    )
+    ratio = cold_res.wall.median / warm_res.wall.median
+
+    print(
+        f"\nwarm new point: cold {cold_res.wall.median:.3f}s "
+        f"warm {warm_res.wall.median:.3f}s -> {ratio:.2f}x"
+    )
+    update_bench_json(
+        "BENCH_perf.json",
+        "warm_store_new_point",
+        {
+            "cold": _stats_payload(cold_res),
+            "warm": _stats_payload(warm_res),
+            "speedup": round(ratio, 2),
+            "floor": NEW_POINT_FLOOR,
+        },
+    )
+    assert ratio >= NEW_POINT_FLOOR, (
+        f"a new point on a warm store only {ratio:.2f}x over cold "
+        f"(floor {NEW_POINT_FLOOR}x, median of {cold_res.repeats})"
     )

@@ -21,16 +21,10 @@ combined with ≺C_sch, §IV-C1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional
+from typing import Callable, Dict, FrozenSet, List, Optional
 
-from repro.analyzer.footprint import BlockMemoryLines
 from repro.core.cluster import Partition
-from repro.core.cluster_tile import (
-    ClusterStructure,
-    ClusterTiling,
-    cost_structure,
-    tile_structure,
-)
+from repro.core.cluster_tile import ClusterStructure, ClusterTiling, cost_structure
 from repro.core.fast_cluster import make_partition
 from repro.core.perftable import PerfTableSet
 from repro.core.schedule import Schedule
@@ -38,7 +32,6 @@ from repro.core.subkernel import SubKernel
 from repro.core.weights import EdgeWeights, excluded_edges, select_candidates
 from repro.core.work import PlannerWork
 from repro.errors import TilingError
-from repro.graph.block_graph import BlockDependencyGraph
 from repro.graph.kernel_graph import KernelGraph
 from repro.obs.decisions import DECISION_COUNTER_FAMILIES, DecisionLedger
 from repro.obs.tracer import NULL_TRACER
@@ -105,19 +98,15 @@ def _singleton_tiling(
 
 def application_tile(
     graph: KernelGraph,
-    block_graph: BlockDependencyGraph,
-    mem_lines: BlockMemoryLines,
+    structure_of: Callable[[FrozenSet[int]], ClusterStructure],
     perf_tables: PerfTableSet,
     weights: EdgeWeights,
     default_times_us: Dict[int, float],
-    cache_bytes: int,
     threshold_us: float = 0.0,
     launch_overhead_us: float = 0.0,
-    include_anti: bool = True,
     max_cluster_nodes: Optional[int] = None,
     tracer=NULL_TRACER,
     planner_backend: Optional[str] = None,
-    structures: Optional[Dict[FrozenSet[int], ClusterStructure]] = None,
 ) -> TilingResult:
     """Algorithm 1.
 
@@ -133,13 +122,15 @@ def application_tile(
     decisions by contract, differing only in the validity-family work
     counters.
 
-    ``structures`` memoizes Algorithm 2's frequency-independent pass
-    (:func:`~repro.core.cluster_tile.tile_structure`) by node set across
-    calls that share the graph, block graph, memory lines, cache size
-    and ``include_anti`` — :class:`~repro.core.ktiler.KTiler` passes
-    one per instance.  A structure found there is only re-costed; the
-    evaluation still charges its full work and emits its ``tile.*``
-    events, exactly like a fresh tiling.
+    ``structure_of`` returns Algorithm 2's frequency-independent
+    structure of a node set (:func:`~repro.core.cluster_tile.tile_structure`
+    over the block graph, memory lines, cache size and dependency
+    variant the caller plans with); :meth:`KTiler.structure
+    <repro.core.ktiler.KTiler.structure>` serves it from a memo or the
+    artifact store before computing it.  Each node set this run
+    evaluates is asked for once and priced at ``perf_tables``; the
+    evaluation charges the structure's full work and emits its
+    ``tile.*`` events however the structure was obtained.
 
     With tracing enabled, every merge decision is emitted as a
     ``sched.merge`` instant event carrying the candidate edge, its
@@ -178,8 +169,6 @@ def application_tile(
             reason="threshold",
         )
     tiling_memo: Dict[FrozenSet[int], Optional[ClusterTiling]] = {}
-    if structures is None:
-        structures = {}
     trace_on = tracer.enabled
 
     index = 0
@@ -248,18 +237,11 @@ def application_tile(
             with tracer.span(
                 "tile.cluster", cat="tile", nodes=len(merged_nodes)
             ):
-                structure = structures.get(merged_nodes)
-                if structure is None:
-                    structure = structures[merged_nodes] = tile_structure(
-                        merged_nodes,
-                        graph,
-                        block_graph,
-                        mem_lines,
-                        cache_bytes,
-                        include_anti=include_anti,
-                    )
                 tiling = cost_structure(
-                    structure, perf_tables, launch_overhead_us, tracer
+                    structure_of(merged_nodes),
+                    perf_tables,
+                    launch_overhead_us,
+                    tracer,
                 )
             tiling_memo[merged_nodes] = tiling
             _charge_work(stats, tiling, ledger, tracer, trace_on)

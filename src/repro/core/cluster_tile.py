@@ -34,8 +34,8 @@ queries the performance tables sub-kernel by sub-kernel in freeze order
 (so the float summation order and the query count are those of a single
 pass) and emits the ``tile.*`` trace instants and metrics.
 :class:`~repro.core.ktiler.KTiler` keeps the structure of every cluster
-it has tiled and only re-costs it at each DVFS point;
-:func:`cluster_tile` runs both passes.
+it has tiled, in memory and in its artifact store, and only re-costs it
+at each DVFS point; :func:`cluster_tile` runs both passes.
 """
 
 from __future__ import annotations

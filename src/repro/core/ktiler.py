@@ -14,12 +14,13 @@ not depend on DVFS state), and so is Algorithm 2's block-level tiling of
 a cluster: only its cost changes with the operating point.  One
 :class:`KTiler` instance therefore keeps all of them and can produce
 schedules for many operating points cheaply — exactly what the Figure 5
-experiment needs.
+experiment needs.  With an artifact store, all of them persist too: a
+fresh instance planning a new operating point from a warm store runs
+only Algorithm 1, Algorithm 2's cost pass and the schedule check.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple
 
@@ -27,7 +28,7 @@ from repro.analyzer.dependency import build_block_graph
 from repro.analyzer.footprint import BlockMemoryLines
 from repro.analyzer.instrument import InstrumentedRun, run_instrumented
 from repro.core.app_tile import TilingResult, application_tile
-from repro.core.cluster_tile import ClusterStructure
+from repro.core.cluster_tile import ClusterStructure, tile_structure
 from repro.core.fast_cluster import resolve_planner_backend
 from repro.core.profiler import (
     DEFAULT_GRID_FRACTIONS,
@@ -52,6 +53,10 @@ from repro.store.artifacts import (
     instrumented_run_from_dict,
     instrumented_run_to_dict,
     plan_key,
+    structure_from_dict,
+    structure_key,
+    structure_scope,
+    structure_to_dict,
     tiling_result_from_dict,
     tiling_result_to_dict,
     trace_key,
@@ -112,6 +117,7 @@ class KTiler:
         # include_anti, so a cluster tiled at one operating point is
         # only re-costed at the next.
         self._structures: Dict[FrozenSet[int], ClusterStructure] = {}
+        self._structure_scope: Optional[str] = None
         self._plans: Dict[FrequencyConfig, TilingResult] = {}
 
     # ------------------------------------------------------------------
@@ -123,14 +129,15 @@ class KTiler:
             key = None
             if self.store.enabled:
                 key = self.store.key_for(trace_key(self.graph, self.spec))
-                payload = self.store.get("trace", key)
-                if payload is not None:
-                    restored = instrumented_run_from_dict(
+                self._run = self.store.get(
+                    "trace",
+                    key,
+                    lambda payload: instrumented_run_from_dict(
                         payload, self.graph, self.spec
-                    )
-                    if restored is not None:
-                        self._run = restored
-                        return self._run
+                    ),
+                )
+                if self._run is not None:
+                    return self._run
             # The analyzer's simulator stays untraced on purpose: its
             # cache traffic is analysis input, not a measurement, and
             # would pollute the sim.* counters.
@@ -152,9 +159,10 @@ class KTiler:
                         self.graph, self.spec, self.config.include_anti
                     )
                 )
-                payload = self.store.get("blockgraph", key)
-                if payload is not None:
-                    self._block_graph = block_graph_from_dict(payload)
+                self._block_graph = self.store.get(
+                    "blockgraph", key, block_graph_from_dict
+                )
+                if self._block_graph is not None:
                     return self._block_graph
             with self.tracer.span("ktiler.block_graph", cat="block_graph"):
                 self._block_graph = build_block_graph(
@@ -178,6 +186,43 @@ class KTiler:
                     self.spec.line_shift,
                 )
         return self._mem_lines
+
+    def structure(self, nodes: FrozenSet[int]) -> ClusterStructure:
+        """Algorithm 2's structure of a node set: memo, store, then computed.
+
+        Only a computed structure needs the block graph and the memory
+        lines, so a plan whose every cluster is memoized or stored never
+        builds :attr:`mem_lines`.
+        """
+        structure = self._structures.get(nodes)
+        if structure is not None:
+            return structure
+        key = None
+        if self.store.enabled:
+            if self._structure_scope is None:
+                self._structure_scope = structure_scope(
+                    self.graph, self.spec, self.config.include_anti
+                )
+            key = self.store.key_for(structure_key(self._structure_scope, nodes))
+
+            def decode(payload):
+                restored = structure_from_dict(payload, self.graph)
+                return restored if restored.nodes == nodes else None
+
+            structure = self.store.get("structure", key, decode)
+        if structure is None:
+            structure = tile_structure(
+                nodes,
+                self.graph,
+                self.block_graph,
+                self.mem_lines,
+                self.spec.l2_bytes,
+                include_anti=self.config.include_anti,
+            )
+            if key is not None:
+                self.store.put("structure", key, structure_to_dict(structure))
+        self._structures[nodes] = structure
+        return structure
 
     # ------------------------------------------------------------------
     # Frequency-dependent artifacts
@@ -227,36 +272,28 @@ class KTiler:
                     planner_backend=self.planner_backend,
                 )
             )
-            payload = self.store.get("plan", key)
-            if payload is not None:
-                # Validated before it was stored; the rebuild re-checks
-                # the graph fingerprint and node-level coverage only.
-                result = tiling_result_from_dict(payload, self.graph)
-                if result is not None:
-                    self._plans[freq] = result
-                    return result
-                warnings.warn(
-                    f"artifact store: stale plan entry for {freq.label}; "
-                    "recomputing",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+            # Validated before it was stored; the rebuild re-checks the
+            # graph fingerprint and node-level coverage only.
+            result = self.store.get(
+                "plan",
+                key,
+                lambda payload: tiling_result_from_dict(payload, self.graph),
+            )
+            if result is not None:
+                self._plans[freq] = result
+                return result
         with self.tracer.span("ktiler.plan", cat="partition", freq=freq.label):
             result = application_tile(
                 graph=self.graph,
-                block_graph=self.block_graph,
-                mem_lines=self.mem_lines,
+                structure_of=self.structure,
                 perf_tables=LazyPerfTables(self.profiler, freq),
                 weights=self.edge_weights(freq),
                 default_times_us=self.default_times(freq),
-                cache_bytes=self.spec.l2_bytes,
                 threshold_us=self.config.threshold_us,
                 launch_overhead_us=launch_overhead,
-                include_anti=self.config.include_anti,
                 max_cluster_nodes=self.config.max_cluster_nodes,
                 tracer=self.tracer,
                 planner_backend=self.planner_backend,
-                structures=self._structures,
             )
             result.schedule.validate(
                 self.graph, self.block_graph, include_anti=self.config.include_anti

@@ -72,10 +72,16 @@ def _read_lines_from(kernel: KernelSpec, blocks: Iterable[int], combo: InputComb
 
 @dataclass
 class ProfiledKernel:
-    """Frequency-independent profile of one kernel spec."""
+    """Frequency-independent profile of one kernel spec.
+
+    ``warm_lines`` holds, beside each tally, the size of the line set
+    its launch was warmed with (0 for the cold combination): the edge
+    weights pick their grid from it without rebuilding the set.
+    """
 
     kernel: KernelSpec
     tallies: Dict[Tuple[InputCombo, int], LaunchTally] = field(default_factory=dict)
+    warm_lines: Dict[Tuple[InputCombo, int], int] = field(default_factory=dict)
 
     def combos(self) -> List[InputCombo]:
         return sorted({c for c, _ in self.tallies}, key=sorted)
@@ -108,20 +114,23 @@ class KernelProfiler:
         self.store = store if store is not None else NULL_STORE
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._profiles: Dict[KernelSpec, ProfiledKernel] = {}
-        self._weight_grids: Dict[Tuple[KernelSpec, str], int] = {}
 
     @property
     def spec(self) -> GpuSpec:
         return self.sim.spec
 
-    def _tally(self, kernel: KernelSpec, combo: InputCombo, grid: int) -> LaunchTally:
+    def _tally(
+        self, kernel: KernelSpec, combo: InputCombo, grid: int
+    ) -> Tuple[LaunchTally, int]:
+        """One ladder point: its tally and the size of its warm set."""
         blocks = range(grid)
         self.sim.reset_cache()
+        warm_lines = 0
         if combo:
-            self.sim.l2.touch_many(
-                _read_lines_from(kernel, blocks, combo, self.spec.line_shift)
-            )
-        return self.sim.tally_launch(kernel, blocks)
+            warm = _read_lines_from(kernel, blocks, combo, self.spec.line_shift)
+            self.sim.l2.touch_many(warm)
+            warm_lines = len(warm)
+        return self.sim.tally_launch(kernel, blocks), warm_lines
 
     @staticmethod
     def standard_combos(kernel: KernelSpec) -> List[InputCombo]:
@@ -168,34 +177,39 @@ class KernelProfiler:
         if self.store.enabled:
             # Imported here: repro.store.artifacts imports the tiling
             # modules, which import this module through core.weights.
-            from repro.store.artifacts import (
-                profile_from_dict,
-                profile_key,
-                profile_to_dict,
-            )
+            from repro.store.artifacts import profile_from_dict, profile_key
+
+            def decode(payload):
+                restored = profile_from_dict(payload)
+                return restored if set(ladder) <= restored[0].keys() else None
 
             key = self.store.key_for(
                 profile_key(kernel, self.spec, self.grid_fractions, combo)
             )
-            payload = self.store.get("profile", key)
-            if payload is not None:
-                restored = profile_from_dict(payload)
-                if all(g in restored for g in missing):
-                    for grid in missing:
-                        profile.tallies[(combo, grid)] = restored[grid]
-                    return profile
+            restored = self.store.get("profile", key, decode)
+            if restored is not None:
+                tallies, warm_lines = restored
+                for grid in missing:
+                    profile.tallies[(combo, grid)] = tallies[grid]
+                    profile.warm_lines[(combo, grid)] = warm_lines[grid]
+                return profile
         with self.tracer.span(
             "profiler.measure", cat="profile",
             kernel=kernel.name, grids=len(missing),
         ):
             for grid in missing:
-                profile.tallies[(combo, grid)] = self._tally(kernel, combo, grid)
+                tally, warm_lines = self._tally(kernel, combo, grid)
+                profile.tallies[(combo, grid)] = tally
+                profile.warm_lines[(combo, grid)] = warm_lines
         if key is not None:
             from repro.store.artifacts import profile_to_dict
 
             self.store.put(
                 "profile", key,
-                profile_to_dict({g: profile.tallies[(combo, g)] for g in ladder}),
+                profile_to_dict(
+                    {g: profile.tallies[(combo, g)] for g in ladder},
+                    {g: profile.warm_lines[(combo, g)] for g in ladder},
+                ),
             )
         return profile
 
@@ -220,7 +234,7 @@ class KernelProfiler:
                 )
         return tables
 
-    def _weight_grid(self, kernel: KernelSpec, buffer_name: str) -> int:
+    def _weight_grid(self, profile: ProfiledKernel, buffer_name: str) -> int:
         """Largest ladder grid whose warmed input fits half the cache.
 
         The edge weight is the *maximum* achievable saving, so it must
@@ -228,23 +242,25 @@ class KernelProfiler:
         L2 — at the full grid a larger-than-cache input self-evicts and
         every weight would read as zero.  Half the cache leaves room
         for the kernel's other traffic, mirroring how tiling rounds
-        share the cache between producer and consumer data.
+        share the cache between producer and consumer data.  The warm
+        set sizes are those the profile recorded for the single-input
+        combination.
         """
-        key = (kernel, buffer_name)
-        cached = self._weight_grids.get(key)
-        if cached is not None:
-            return cached
+        kernel = profile.kernel
+        combo = frozenset((buffer_name,))
         budget = self.spec.l2_num_lines // 2
         chosen = 1
         for grid in grid_ladder(kernel.num_blocks, self.grid_fractions):
-            lines = _read_lines_from(
-                kernel, range(grid), frozenset((buffer_name,)), self.spec.line_shift
-            )
-            if len(lines) <= budget:
+            lines = profile.warm_lines.get((combo, grid))
+            if lines is None:
+                raise ConfigurationError(
+                    f"kernel '{kernel.name}' has no profile for input "
+                    f"'{buffer_name}' at grid {grid}"
+                )
+            if lines <= budget:
                 chosen = grid
             else:
                 break
-        self._weight_grids[key] = chosen
         return chosen
 
     def saved_time(
@@ -259,15 +275,10 @@ class KernelProfiler:
         be saved if the corresponding input data reside in the cache".
         """
         profile = self.profile(kernel)
-        grid = self._weight_grid(kernel, buffer_name)
+        grid = self._weight_grid(profile, buffer_name)
         dram = self.sim.dram
-        cold = profile.tallies.get((EMPTY_COMBO, grid))
-        warm = profile.tallies.get((frozenset((buffer_name,)), grid))
-        if cold is None or warm is None:
-            raise ConfigurationError(
-                f"kernel '{kernel.name}' has no profile for input "
-                f"'{buffer_name}' at grid {grid}"
-            )
+        cold = profile.tallies[(EMPTY_COMBO, grid)]
+        warm = profile.tallies[(frozenset((buffer_name,)), grid)]
         cold_us = time_launch(cold, self.spec, dram, freq).time_us
         warm_us = time_launch(warm, self.spec, dram, freq).time_us
         scale = kernel.num_blocks / grid

@@ -19,7 +19,7 @@ sub-kernel — the cache state a KTILER round produces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.analyzer import build_block_graph, run_instrumented
 from repro.apps.synthetic import build_jacobi_pingpong
@@ -110,18 +110,20 @@ def run_fig2(
     bg_key = None
     if store.enabled:
         bg_key = store.key_for(block_graph_key(graph, used_spec, True))
-        payload = store.get("blockgraph", bg_key)
-        if payload is not None:
-            block_graph = block_graph_from_dict(payload)
+        block_graph = store.get("blockgraph", bg_key, block_graph_from_dict)
     if block_graph is None:
         with tracer.span("fig2.analyze", cat="trace"):
             run = None
             t_key = None
             if store.enabled:
                 t_key = store.key_for(trace_key(graph, used_spec))
-                payload = store.get("trace", t_key)
-                if payload is not None:
-                    run = instrumented_run_from_dict(payload, graph, used_spec)
+                run = store.get(
+                    "trace",
+                    t_key,
+                    lambda payload: instrumented_run_from_dict(
+                        payload, graph, used_spec
+                    ),
+                )
             if run is None:
                 run = run_instrumented(
                     graph, GpuSimulator(used_spec)

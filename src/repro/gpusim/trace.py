@@ -5,8 +5,9 @@ thread, the effective address, access type, target memory space and
 width of each memory instruction, then post-processes the trace on the
 host.  Here the "instrumented binary" is the kernel's access-pattern
 generator: during a traced run, the launch simulator hands every
-executed block to a :class:`TraceRecorder`, which stores the block's
-unique read/written cache lines.
+executed block to a :class:`TraceRecorder`, which records the block;
+its unique read/written cache lines derive from the kernel's memoized
+access pattern when the block analyzer reads them.
 
 A :class:`MemoryTrace` is the post-processable artifact: an ordered
 list of :class:`BlockTraceRecord` entries (execution order), exactly
@@ -16,32 +17,60 @@ relation + block memory lines).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.errors import SimulationError
+
+if TYPE_CHECKING:
+    from repro.kernels.base import KernelSpec
 
 #: A block is globally identified by (graph node id, block id).
 BlockKey = Tuple[int, int]
 
 
-@dataclass(frozen=True)
-class BlockTraceRecord:
-    """Unique lines read and written by one executed block."""
+class BlockTraceRecord(NamedTuple):
+    """One executed block: its node, kernel spec, block id and line shift.
+
+    The unique lines the block reads and writes are the kernel's
+    memoized line sets (:meth:`~repro.kernels.base.KernelSpec.block_line_sets`),
+    derived when first read.  The recorder and the artifact-store
+    decoder build the same record, so a restored trace costs one small
+    tuple per block until the block analyzer reads its lines.
+    """
 
     node_id: int
-    kernel_name: str
+    kernel: "KernelSpec"
     block_id: int
-    read_lines: FrozenSet[int]
-    written_lines: FrozenSet[int]
+    line_shift: int
+
+    @property
+    def kernel_name(self) -> str:
+        return self.kernel.name
 
     @property
     def key(self) -> BlockKey:
         return (self.node_id, self.block_id)
 
     @property
+    def read_lines(self) -> FrozenSet[int]:
+        return self.kernel.block_line_sets(self.block_id, self.line_shift)[0]
+
+    @property
+    def written_lines(self) -> FrozenSet[int]:
+        return self.kernel.block_line_sets(self.block_id, self.line_shift)[1]
+
+    @property
     def touched_lines(self) -> FrozenSet[int]:
-        return self.read_lines | self.written_lines
+        return self.kernel.block_touched_lines(self.block_id, self.line_shift)
 
 
 class MemoryTrace:
@@ -94,16 +123,8 @@ class TraceRecorder:
             raise SimulationError(
                 "TraceRecorder.record_block called before begin_launch"
             )
-        # block_line_sets returns shared frozensets; reference, don't copy.
-        reads, writes = kernel.block_line_sets(block_id, line_shift)
         self.trace.append(
-            BlockTraceRecord(
-                node_id=self._node_id,
-                kernel_name=kernel.name,
-                block_id=block_id,
-                read_lines=reads,
-                written_lines=writes,
-            )
+            BlockTraceRecord(self._node_id, kernel, block_id, line_shift)
         )
 
     def record_copy(self, node_id: int, kernel, line_shift: int) -> None:

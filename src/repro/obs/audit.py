@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import html
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.gpusim.dram import DramModel

@@ -136,9 +136,7 @@ def _replay_schedules(
     if store.enabled:
         for i, schedule in enumerate(schedules):
             keys[i] = store.key_for(replay_key(graph, spec, schedule))
-            payload = store.get("replay", keys[i])
-            if payload is not None:
-                results[i] = schedule_tallies_from_dict(payload)
+            results[i] = store.get("replay", keys[i], schedule_tallies_from_dict)
     misses = [i for i in range(len(schedules)) if results[i] is None]
     for i in misses:
         results[i] = tally_schedule(schedules[i], graph, spec, tracer=tracer)

@@ -9,14 +9,20 @@ saved explicitly.
 
 Compactness choices that keep paper-scale entries reviewable:
 
-* traces store only ``(node, block-range)`` runs — the line sets are
-  reconstructed from the kernels' memoized access patterns, which is
-  exactly how the recorder produced them;
+* traces store only ``(node, block-range)`` runs — a restored record,
+  like a recorded one, derives its line sets from the kernel's
+  memoized access pattern when they are first read;
 * block graphs store the per-block adjacency in trace order, so the
   rebuilt :class:`~repro.graph.block_graph.BlockDependencyGraph` is
   structurally identical (same insertion order, same consumer lists);
 * block-id sequences use the run-length encoding of
-  :mod:`repro.core.serialize`.
+  :mod:`repro.core.serialize`;
+* Algorithm 2 structures store each step's events and sub-kernel block
+  runs; kernels and input combinations are re-derived from the graph.
+
+Decoders raise (or return None) on a payload that does not fit; the
+store turns either into a counted, warned miss
+(:meth:`~repro.store.store.ArtifactStore.get`).
 """
 
 from __future__ import annotations
@@ -27,7 +33,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analyzer.instrument import InstrumentedRun
 from repro.core.app_tile import TilingResult, TilingStats
 from repro.core.cluster import Partition
-from repro.core.cluster_tile import ClusterTiling
+from repro.core.cluster_tile import (
+    ClusterStructure,
+    ClusterTiling,
+    DroppedBatch,
+    FrozenRound,
+    in_cluster_input_combo,
+)
 from repro.core.perftable import InputCombo
 from repro.core.serialize import (
     _decode_blocks,
@@ -49,6 +61,7 @@ from repro.kernels.base import KernelSpec
 from repro.obs.decisions import DecisionLedger
 from repro.store.fingerprint import (
     config_fingerprint,
+    content_key,
     freq_fingerprint,
     gpu_fingerprint,
     graph_fingerprint,
@@ -91,23 +104,32 @@ def profile_key(
         "gpu": gpu_fingerprint(spec),
         "grid_fractions": [float(f) for f in grid_fractions],
         "combo": sorted(combo),
+        # Entries hold each grid's warm-set size beside its tally.
+        "warm_lines": True,
     }
 
 
-def profile_to_dict(ladder_tallies: Dict[int, LaunchTally]) -> Dict:
+def profile_to_dict(
+    tallies: Dict[int, LaunchTally], warm_lines: Dict[int, int]
+) -> Dict:
     return {
         "grids": [
-            [grid, tally_to_dict(tally)]
-            for grid, tally in sorted(ladder_tallies.items())
+            [grid, tally_to_dict(tally), warm_lines[grid]]
+            for grid, tally in sorted(tallies.items())
         ]
     }
 
 
-def profile_from_dict(payload: Dict) -> Dict[int, LaunchTally]:
-    return {
-        int(grid): tally_from_dict(entry)
-        for grid, entry in payload["grids"]
-    }
+def profile_from_dict(
+    payload: Dict,
+) -> Tuple[Dict[int, LaunchTally], Dict[int, int]]:
+    """``(tallies, warm_lines)`` by grid size."""
+    tallies: Dict[int, LaunchTally] = {}
+    warm_lines: Dict[int, int] = {}
+    for grid, entry, lines in payload["grids"]:
+        tallies[int(grid)] = tally_from_dict(entry)
+        warm_lines[int(grid)] = int(lines)
+    return tallies, warm_lines
 
 
 # ----------------------------------------------------------------------
@@ -147,32 +169,27 @@ def instrumented_run_from_dict(
     spec: GpuSpec,
     freq: FrequencyConfig = NOMINAL,
 ) -> Optional[InstrumentedRun]:
-    """Rebuild a trace from block ids + the kernels' memoized line sets.
+    """Rebuild a trace from block ids; line sets derive when read.
 
     Returns None when the payload does not line up with the graph (a
     stale or hand-edited entry) — the caller recomputes.
     """
     node_ids = graph.topological_order()
-    if len(payload.get("launches", ())) != len(node_ids):
+    if len(payload["launches"]) != len(node_ids):
         return None
     dram = DramModel.from_spec(spec)
+    line_shift = spec.line_shift
     trace = MemoryTrace()
     launches: List[LaunchResult] = []
     for node_id, entry in zip(node_ids, payload["launches"]):
         if entry["node"] != node_id:
             return None
         kernel = graph.node(node_id).kernel
-        for bid in _decode_blocks(entry["blocks"]):
-            reads, writes = kernel.block_line_sets(bid, spec.line_shift)
-            trace.append(
-                BlockTraceRecord(
-                    node_id=node_id,
-                    kernel_name=kernel.name,
-                    block_id=bid,
-                    read_lines=reads,
-                    written_lines=writes,
-                )
-            )
+        blocks = _decode_blocks(entry["blocks"])
+        if blocks and not 0 <= min(blocks) <= max(blocks) < kernel.num_blocks:
+            return None
+        for bid in blocks:
+            trace.append(BlockTraceRecord(node_id, kernel, bid, line_shift))
         tally = tally_from_dict(entry["tally"])
         launches.append(
             LaunchResult(
@@ -181,7 +198,7 @@ def instrumented_run_from_dict(
                 freq=freq,
             )
         )
-    if trace.total_blocks != payload.get("total_blocks"):
+    if trace.total_blocks != payload["total_blocks"]:
         return None
     return InstrumentedRun(trace=trace, launches=launches)
 
@@ -317,45 +334,137 @@ def partition_from_members(
     return Partition(clusters, of, qadj, qradj)
 
 
-def tiling_result_from_dict(
-    payload: Dict, graph: KernelGraph
-) -> Optional[TilingResult]:
-    """Rebuild a TilingResult; None when it doesn't match the graph."""
-    try:
-        schedule = schedule_from_dict(payload["schedule"], graph)
-        partition = partition_from_members(graph, payload["partition"])
-        tilings = {
-            int(cid): ClusterTiling(
-                nodes=frozenset(entry["nodes"]),
-                subkernels=tuple(
-                    _subkernel_from_dict(s) for s in entry["subkernels"]
-                ),
-                cost_us=float(entry["cost_us"]),
-                rounds=int(entry["rounds"]),
-                work=PlannerWork.from_dict(entry.get("work", {})),
-            )
-            for cid, entry in payload["tilings"]
-        }
-        stats_payload = dict(payload["stats"])
-        stats_work = PlannerWork.from_dict(stats_payload.pop("work", {}))
-        stats = TilingStats(work=stats_work, **stats_payload)
-        # A payload without a (valid) ledger is a pre-provenance entry:
-        # KeyError/ValueError land in the except below, the caller
-        # recomputes, and the warm plan regains its provenance.
-        ledger = DecisionLedger.from_dict(payload["ledger"])
-        return TilingResult(
-            schedule=schedule,
-            partition=partition,
-            tilings=tilings,
-            estimated_cost_us=float(payload["estimated_cost_us"]),
-            stats=stats,
-            ledger=ledger,
+def tiling_result_from_dict(payload: Dict, graph: KernelGraph) -> TilingResult:
+    """Rebuild a TilingResult; raises when it does not fit the graph.
+
+    Schedule/graph mismatches raise ScheduleError/GraphError, a payload
+    without a (valid) ledger KeyError/ValueError: the store reads any of
+    them as a miss, so the caller recomputes and the warm plan regains
+    its provenance.
+    """
+    schedule = schedule_from_dict(payload["schedule"], graph)
+    partition = partition_from_members(graph, payload["partition"])
+    tilings = {
+        int(cid): ClusterTiling(
+            nodes=frozenset(entry["nodes"]),
+            subkernels=tuple(
+                _subkernel_from_dict(s) for s in entry["subkernels"]
+            ),
+            cost_us=float(entry["cost_us"]),
+            rounds=int(entry["rounds"]),
+            work=PlannerWork.from_dict(entry.get("work", {})),
         )
-    except (KeyError, TypeError, ValueError, Exception) as exc:  # noqa: B014
-        # Schedule/graph mismatches raise ScheduleError/GraphError; any
-        # structural surprise means "treat as a miss", not "crash".
-        del exc
-        return None
+        for cid, entry in payload["tilings"]
+    }
+    stats_payload = dict(payload["stats"])
+    stats_work = PlannerWork.from_dict(stats_payload.pop("work", {}))
+    stats = TilingStats(work=stats_work, **stats_payload)
+    return TilingResult(
+        schedule=schedule,
+        partition=partition,
+        tilings=tilings,
+        estimated_cost_us=float(payload["estimated_cost_us"]),
+        stats=stats,
+        ledger=DecisionLedger.from_dict(payload["ledger"]),
+    )
+
+
+# ----------------------------------------------------------------------
+# Algorithm 2 structures
+# ----------------------------------------------------------------------
+def structure_scope(graph: KernelGraph, spec: GpuSpec, include_anti: bool) -> str:
+    """Digest of what every structure of one graph and device shares.
+
+    A structure depends on the graph, the GPU (the L2 and line sizes,
+    through the trace) and the dependency variant besides its node
+    set; hashing them once keeps each node set's key small.
+    """
+    return content_key(
+        {
+            "artifact": "structure",
+            "graph": graph_fingerprint(graph),
+            "gpu": gpu_fingerprint(spec),
+            "include_anti": bool(include_anti),
+        }
+    )
+
+
+def structure_key(scope: str, nodes) -> Dict:
+    return {"artifact": "structure", "scope": scope, "nodes": sorted(nodes)}
+
+
+def structure_to_dict(structure: ClusterStructure) -> Dict:
+    steps: List = []
+    for step in structure.steps:
+        if isinstance(step, DroppedBatch):
+            steps.append(["drop", step.round, step.blocks, step.footprint_bytes])
+        else:
+            steps.append(
+                [
+                    "round",
+                    step.event,
+                    [
+                        [sub.node_id, sub.label, _encode_blocks(sub.blocks)]
+                        for sub, _, _ in step.launches
+                    ],
+                ]
+            )
+    return {
+        "nodes": sorted(structure.nodes),
+        "label": structure.label,
+        "cache_bytes": structure.cache_bytes,
+        "tileable": structure.tileable,
+        "work": [list(item) for item in structure.work],
+        "steps": steps,
+    }
+
+
+def structure_from_dict(payload: Dict, graph: KernelGraph) -> ClusterStructure:
+    """Rebuild a structure equal (``==``) to the one that was stored.
+
+    Each launch's kernel spec and in-cluster input combination come
+    from the graph, as :func:`~repro.core.cluster_tile.tile_structure`
+    derives them.
+    """
+    nodes = frozenset(payload["nodes"])
+    kernel_and_combo = {
+        v: (graph.node(v).kernel, in_cluster_input_combo(graph, v, nodes))
+        for v in nodes
+    }
+    steps: List = []
+    for step in payload["steps"]:
+        kind = step[0]
+        if kind == "drop":
+            _, round_, blocks, footprint_bytes = step
+            steps.append(DroppedBatch(int(round_), int(blocks), int(footprint_bytes)))
+        elif kind == "round":
+            _, event, launches = step
+            steps.append(
+                FrozenRound(
+                    dict(event),
+                    tuple(
+                        (
+                            SubKernel(
+                                node_id=v,
+                                blocks=tuple(_decode_blocks(runs)),
+                                label=label,
+                            ),
+                            *kernel_and_combo[v],
+                        )
+                        for v, label, runs in launches
+                    ),
+                )
+            )
+        else:
+            raise ValueError(f"unknown structure step {kind!r}")
+    return ClusterStructure(
+        nodes=nodes,
+        label=str(payload["label"]),
+        cache_bytes=int(payload["cache_bytes"]),
+        steps=tuple(steps),
+        tileable=bool(payload["tileable"]),
+        work=tuple((str(name), int(value)) for name, value in payload["work"]),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,10 @@ generate the schedule only once" — KTILER spends minutes scheduling and
 then reuses the result for every subsequent run.  :class:`ArtifactStore`
 generalizes that to every expensive, deterministic artifact of the
 pipeline: memory traces, block dependency graphs, profiler tallies
-(perf-table entries), tiled schedules (full
-:class:`~repro.core.app_tile.TilingResult` payloads) and schedule
-replays.
+(perf-table entries), the Algorithm 2 structure of each tiled cluster
+(:class:`~repro.core.cluster_tile.ClusterStructure`), tiled schedules
+(full :class:`~repro.core.app_tile.TilingResult` payloads) and
+schedule replays.
 
 Entries are addressed by ``(kind, key)`` where ``key`` is the sha256 of
 a canonical fingerprint (see :mod:`repro.store.fingerprint`); content
@@ -23,8 +24,9 @@ Robustness properties, enforced by ``tests/test_store.py``:
   last-complete-write wins and both writes carry identical bytes
   anyway (same key = same content);
 * **corruption fallback** — an unreadable, truncated or
-  version-mismatched entry is reported with a :class:`RuntimeWarning`
-  and treated as a miss (the caller recomputes and overwrites);
+  version-mismatched entry, or a payload its kind's decoder rejects,
+  is reported with a :class:`RuntimeWarning` and treated as a miss
+  (the caller recomputes and overwrites);
 * **observability** — hits/misses/writes/corruption land in the
   tracer's metrics under ``store.*`` labelled by artifact kind.
 """
@@ -35,8 +37,9 @@ import itertools
 import json
 import os
 import warnings
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
+from repro.errors import ReproError
 from repro.obs.tracer import NULL_TRACER
 from repro.store.fingerprint import STORE_VERSION, content_key
 
@@ -46,6 +49,11 @@ STORE_ENV_VAR = "KTILER_CACHE_DIR"
 _MAGIC = "ktiler-artifact"
 
 _temp_counter = itertools.count()
+
+#: What a decoder raises on a payload of the wrong shape: a missing key
+#: or index, a wrong type, a bad value, or a schedule or graph the
+#: payload does not fit.
+DECODE_ERRORS = (LookupError, TypeError, ValueError, AttributeError, ReproError)
 
 
 class ArtifactStore:
@@ -76,8 +84,22 @@ class ArtifactStore:
         if self.tracer.enabled:
             self.tracer.metrics.inc(f"store.{counter}", 1, kind=kind)
 
-    def get(self, kind: str, key: str) -> Optional[Dict]:
-        """The stored payload, or None on miss / corrupt entry."""
+    def _reject(self, kind: str, message: str) -> None:
+        self._count("corrupt", kind)
+        warnings.warn(
+            f"artifact store: {message}; recomputing",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+    def get(self, kind: str, key: str, decode: Optional[Callable] = None):
+        """The stored payload, or ``decode(payload)``; None on a miss.
+
+        An unreadable entry, a malformed envelope, and a payload that
+        ``decode`` rejects (it raises one of :data:`DECODE_ERRORS` or
+        returns None) all count ``corrupt``, warn, and read as a miss,
+        so every kind shares one decode-or-miss path.
+        """
         path = self.path(kind, key)
         try:
             with open(path, encoding="utf-8") as fh:
@@ -86,13 +108,7 @@ class ArtifactStore:
             self._count("misses", kind)
             return None
         except (json.JSONDecodeError, OSError, UnicodeDecodeError) as exc:
-            self._count("corrupt", kind)
-            warnings.warn(
-                f"artifact store: unreadable entry {path} ({exc}); "
-                "recomputing",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            self._reject(kind, f"unreadable entry {path} ({exc})")
             return None
         if (
             not isinstance(envelope, dict)
@@ -100,15 +116,20 @@ class ArtifactStore:
             or envelope.get("store_version") != STORE_VERSION
             or "payload" not in envelope
         ):
-            self._count("corrupt", kind)
-            warnings.warn(
-                f"artifact store: malformed entry {path}; recomputing",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            self._reject(kind, f"malformed entry {path}")
             return None
+        value = envelope["payload"]
+        if decode is not None:
+            try:
+                value = decode(value)
+            except DECODE_ERRORS as exc:
+                self._reject(kind, f"stale {kind} entry {path} ({exc!r})")
+                return None
+            if value is None:
+                self._reject(kind, f"stale {kind} entry {path} (does not fit)")
+                return None
         self._count("hits", kind)
-        return envelope["payload"]
+        return value
 
     def put(self, kind: str, key: str, payload: Dict) -> None:
         """Atomically write a payload (temp file + rename)."""
@@ -125,8 +146,10 @@ class ArtifactStore:
         temp = os.path.join(
             directory, f".tmp-{os.getpid()}-{next(_temp_counter)}"
         )
+        # json.dumps encodes in C; json.dump would stream the same bytes
+        # through the pure-Python encoder.
         with open(temp, "w", encoding="utf-8") as fh:
-            json.dump(envelope, fh)
+            fh.write(json.dumps(envelope))
         os.replace(temp, path)
         self._count("writes", kind)
 
@@ -144,7 +167,7 @@ class NullStore:
     def key_for(self, payload) -> str:
         return content_key({"store_version": STORE_VERSION, "key": payload})
 
-    def get(self, kind: str, key: str) -> None:
+    def get(self, kind: str, key: str, decode=None) -> None:
         return None
 
     def put(self, kind: str, key: str, payload: Dict) -> None:

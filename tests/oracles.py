@@ -730,9 +730,12 @@ def use_oracle_tiler(monkeypatch) -> None:
 
     The structure pass only records its arguments and the cost pass runs
     the whole oracle, so every evaluation tiles from scratch, including
-    one whose node set the ``KTiler`` memo already holds.
+    one whose node set the ``KTiler`` memo already holds.  The recorded
+    arguments are no storable structure: use it on a store-less
+    ``KTiler``.
     """
     import repro.core.app_tile as app_tile
+    import repro.core.ktiler as ktiler
 
-    monkeypatch.setattr(app_tile, "tile_structure", _OracleStructure)
+    monkeypatch.setattr(ktiler, "tile_structure", _OracleStructure)
     monkeypatch.setattr(app_tile, "cost_structure", _oracle_cost)

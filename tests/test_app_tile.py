@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps import build_jacobi_pingpong, build_pipeline, build_scale_chain
+from repro.apps import build_jacobi_pingpong, build_pipeline
 from repro.core import KTiler, KTilerConfig
 from repro.errors import TilingError
 from repro.gpusim import NOMINAL, FrequencyConfig, GpuSpec
@@ -135,19 +135,16 @@ class TestKTilerFacade:
         assert ktiler.default_schedule().num_launches == len(app.graph)
 
     def test_missing_default_time_raises(self):
-        from repro.analyzer import BlockMemoryLines
         from repro.core.app_tile import application_tile
-        from repro.core.profiler import LazyPerfTables, KernelProfiler
+        from repro.core.profiler import LazyPerfTables
 
         app = build_pipeline(size=256)
         ktiler = KTiler(app.graph)
         with pytest.raises(TilingError):
             application_tile(
                 graph=app.graph,
-                block_graph=ktiler.block_graph,
-                mem_lines=ktiler.mem_lines,
+                structure_of=ktiler.structure,
                 perf_tables=LazyPerfTables(ktiler.profiler, NOMINAL),
                 weights=ktiler.edge_weights(NOMINAL),
                 default_times_us={},
-                cache_bytes=ktiler.spec.l2_bytes,
             )

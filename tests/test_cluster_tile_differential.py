@@ -28,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.app_tile as app_tile
+import repro.core.ktiler as ktiler_module
 from repro.analyzer import BlockMemoryLines, build_block_graph, run_instrumented
 from repro.apps import (
     build_hsopticalflow,
@@ -224,14 +225,14 @@ def _plan_view(result):
 def test_one_ktiler_for_four_points_equals_a_fresh_ktiler_per_point():
     shared = _fig5_ktiler(96, 2, 3)
     structure_passes = []
-    tile_structure = app_tile.tile_structure
+    tile_structure = ktiler_module.tile_structure
 
     def counting(*args, **kwargs):
         structure_passes.append(frozenset(args[0]))
         return tile_structure(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(app_tile, "tile_structure", counting)
+        mp.setattr(ktiler_module, "tile_structure", counting)
         shared_plans = [shared.plan(freq) for freq in FIG5_CONFIGS]
     evaluations = sum(plan.stats.tilings_evaluated for plan in shared_plans)
     # Later points re-cost structures the first ones built.

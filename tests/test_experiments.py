@@ -18,7 +18,6 @@ from repro.experiments import (
     run_suitability,
     threshold_sweep,
 )
-from repro.experiments.presets import SCALED_SPEC
 from repro.gpusim import GpuSpec
 from repro.gpusim.freq import FIG3_CONFIGS, FIG5_CONFIGS
 

@@ -9,9 +9,10 @@ produced it.  These tests attack that argument from three sides:
   the GpuSpec (L2 size included), the frequency, or the KTiler config
   must change the key; re-describing the identical configuration must
   not;
-* **corruption** — truncated, garbage, or wrong-version entries must
-  fall back to a recompute with a ``RuntimeWarning``, never a crash or
-  a wrong result;
+* **corruption** — truncated, garbage, or wrong-version entries, and
+  valid envelopes whose payload has the wrong shape for their kind,
+  must fall back to a recompute with a ``RuntimeWarning``, never a
+  crash or a wrong result;
 * **concurrency** — simultaneous writers of the same entry (two CLI
   runs or two daemons sharing one cache directory) must never produce
   a torn read.
@@ -23,6 +24,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import shutil
 import warnings
 
 import pytest
@@ -30,8 +32,11 @@ import pytest
 from repro.apps.synthetic import build_jacobi_pingpong
 from repro.core.fast_cluster import resolve_planner_backend
 from repro.core.ktiler import KTiler, KTilerConfig
+from repro.experiments import run_fig5
+from repro.experiments.presets import SCALED_SPEC
 from repro.gpusim import GpuSpec
-from repro.gpusim.freq import NOMINAL, FrequencyConfig
+from repro.gpusim.arch import spec_with_l2
+from repro.gpusim.freq import FIG5_CONFIGS, NOMINAL, FrequencyConfig
 from repro.store import ArtifactStore, NULL_STORE, STORE_ENV_VAR, resolve_store
 from repro.store.artifacts import plan_key, profile_key, trace_key
 from repro.store.fingerprint import (
@@ -229,6 +234,58 @@ def test_corrupted_plan_entry_falls_back_to_scheduling(tmp_path):
     assert [
         (s.node_id, s.blocks) for s in recovered.schedule
     ] == [(s.node_id, s.blocks) for s in expected.schedule]
+
+
+# ----------------------------------------------------------------------
+# Every kind of a Figure 5 store
+# ----------------------------------------------------------------------
+#: A small Figure 5 whose plans adopt merges (so tiled replays are
+#: stored) on a 64 KiB L2 (so the tiler drops batches).
+FIG5_SMALL = dict(
+    frame_size=96, levels=2, jacobi_iters=3,
+    spec=spec_with_l2(SCALED_SPEC, 64 * 1024),
+)
+KINDS = ("trace", "blockgraph", "profile", "plan", "replay", "structure")
+#: Four stored points plus one new one: a run that reads every kind.
+SWEEP = tuple(FIG5_CONFIGS) + (FrequencyConfig(1324.0, 810.0),)
+
+
+@pytest.fixture(scope="module")
+def fig5_store(tmp_path_factory):
+    """A store one Figure 5 run filled, and a cold run of the sweep."""
+    root = tmp_path_factory.mktemp("fig5-store")
+    run_fig5(store=ArtifactStore(root), **FIG5_SMALL)
+    return root, run_fig5(configs=SWEEP, **FIG5_SMALL)
+
+
+def test_every_kind_is_written_as_json_dumps_of_its_envelope(fig5_store):
+    root, _ = fig5_store
+    kinds = set()
+    for path in sorted(root.rglob("*.json")):
+        raw = path.read_text(encoding="utf-8")
+        envelope = json.loads(raw)
+        assert raw == json.dumps(envelope), path
+        assert envelope["kind"] == path.relative_to(root).parts[0]
+        kinds.add(envelope["kind"])
+    assert kinds == set(KINDS)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_wrong_shape_payload_is_a_warned_miss(kind, fig5_store, tmp_path):
+    """A valid envelope whose payload does not fit its kind is a miss:
+    counted ``corrupt``, warned, recomputed — never a crash."""
+    filled, cold = fig5_store
+    root = tmp_path / "store"
+    shutil.copytree(filled, root)
+    for path in (root / kind).rglob("*.json"):
+        envelope = json.loads(path.read_text(encoding="utf-8"))
+        envelope["payload"] = {"unexpected": [1, 2, 3]}
+        path.write_text(json.dumps(envelope), encoding="utf-8")
+    store = ArtifactStore(root)
+    with pytest.warns(RuntimeWarning, match=f"stale {kind} entry"):
+        result = run_fig5(configs=SWEEP, store=store, **FIG5_SMALL)
+    assert result.report.rows == cold.report.rows
+    assert store.corrupt >= 1
 
 
 # ----------------------------------------------------------------------
