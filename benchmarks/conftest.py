@@ -29,6 +29,37 @@ def run_once(benchmark, fn, *args, **kwargs):
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
 
+def time_wall(fn, repeats: int = 3, warmup: int = 1) -> dict:
+    """``fn()`` timed by :func:`repro.obs.bench.run_benchmark`.
+
+    Returns the wall series' ``median_s``, ``mad_s`` and ``samples_s``
+    (seconds) and the repeat count.  What ``fn`` returns is dropped, so
+    no repeat keeps a result alive.
+    """
+    from repro.obs.bench import mad, median, run_benchmark
+
+    def call(tracer):
+        fn()
+
+    wall = [run.wall_s for run in run_benchmark(call, repeats, warmup)]
+    return {
+        "median_s": median(wall),
+        "mad_s": mad(wall),
+        "repeats": len(wall),
+        "samples_s": wall,
+    }
+
+
+def bench_entry(stats: dict) -> dict:
+    """A :func:`time_wall` summary, rounded for ``BENCH_perf.json``."""
+    return {
+        "median_s": round(stats["median_s"], 4),
+        "mad_s": round(stats["mad_s"], 5),
+        "repeats": stats["repeats"],
+        "samples_s": [round(s, 4) for s in stats["samples_s"]],
+    }
+
+
 def update_bench_json(name: str, key: str, payload: dict) -> dict:
     """Merge one benchmark's results into a machine-readable artifact.
 

@@ -9,9 +9,10 @@ the engine's per-evaluation speedup, not the memo's.
 
 Identity comes first — equal ``ClusterTiling``s (or ``None`` for both)
 on every cluster — and only then the clock, measured with the
-statistical harness (``repro.obs.bench.run_benchmark``: warmup +
-repeats, floor asserted on the **median** ratio).  Measured ~2.8x on a
-2-vCPU x86-64 box; the floor is 1.3x to leave room for noisy runners.
+statistical harness (``repro.obs.bench.run_benchmark`` through
+``conftest.time_wall``: repeats, floor asserted on the **median**
+ratio).  Measured ~2.8x on a 2-vCPU x86-64 box; the floor is 1.3x to
+leave room for noisy runners.
 Medians land in ``BENCH_perf.json`` under ``cluster_tile``.  The
 module carries the ``perf`` marker: tier-1 excludes it, the CI bench
 job opts in with ``-m perf``.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import update_bench_json
+from conftest import bench_entry, time_wall, update_bench_json
 
 pytestmark = pytest.mark.perf
 
@@ -67,18 +68,8 @@ def _fig5_clusters():
     return ktiler, [(nodes, *priced[nodes]) for nodes in priced]
 
 
-def _stats_payload(result):
-    return {
-        "median_s": round(result.wall.median, 4),
-        "mad_s": round(result.wall.mad, 5),
-        "repeats": result.repeats,
-        "samples_s": [round(s, 4) for s in result.wall.samples],
-    }
-
-
 def test_cluster_tile_speedup():
     from repro.core.cluster_tile import cluster_tile
-    from repro.obs.bench import run_benchmark
     from tests import oracles
 
     ktiler, clusters = _fig5_clusters()
@@ -99,20 +90,12 @@ def test_cluster_tile_speedup():
     oracle = tile_all(oracles.cluster_tile)
     assert engine == oracle
 
-    oracle_res = run_benchmark(
-        "cluster_tile.oracle",
-        lambda tracer: tile_all(oracles.cluster_tile),
-        repeats=3, warmup=0,
-    )
-    engine_res = run_benchmark(
-        "cluster_tile.engine",
-        lambda tracer: tile_all(cluster_tile),
-        repeats=3, warmup=0,
-    )
-    ratio = oracle_res.wall.median / engine_res.wall.median
+    oracle_res = time_wall(lambda: tile_all(oracles.cluster_tile), warmup=0)
+    engine_res = time_wall(lambda: tile_all(cluster_tile), warmup=0)
+    ratio = oracle_res["median_s"] / engine_res["median_s"]
     print(
-        f"\ncluster tile: oracle {oracle_res.wall.median:.3f}s "
-        f"engine {engine_res.wall.median:.3f}s -> {ratio:.2f}x "
+        f"\ncluster tile: oracle {oracle_res['median_s']:.3f}s "
+        f"engine {engine_res['median_s']:.3f}s -> {ratio:.2f}x "
         f"over {len(clusters)} fig5 clusters"
     )
     update_bench_json(
@@ -120,13 +103,13 @@ def test_cluster_tile_speedup():
         "cluster_tile",
         {
             "clusters": len(clusters),
-            "oracle": _stats_payload(oracle_res),
-            "engine": _stats_payload(engine_res),
+            "oracle": bench_entry(oracle_res),
+            "engine": bench_entry(engine_res),
             "speedup": round(ratio, 2),
             "floor": FLOOR,
         },
     )
     assert ratio >= FLOOR, (
         f"Algorithm 2 engine only {ratio:.2f}x over the oracle "
-        f"(floor {FLOOR}x, median of {engine_res.repeats})"
+        f"(floor {FLOOR}x, median of {engine_res['repeats']})"
     )

@@ -1,8 +1,9 @@
 """PERF GUARD: the simulator's L2 must stay fast *and* bit-identical.
 
 One floored guard plus one reported-only data point, measured with the
-statistical harness (``repro.obs.bench.run_benchmark``: warmup +
-repeats, floor asserted on the **median** ratio) so a single scheduler
+statistical harness (``repro.obs.bench.run_benchmark`` through
+``conftest.time_wall``: warmup + repeats, floor asserted on the
+**median** ratio) so a single scheduler
 hiccup on a noisy CI runner can no longer fail the job.  The floor is
 deliberately conservative (the measured median ratio on the development
 machine is noted inline; the floor leaves ~2x headroom for slower CI
@@ -32,7 +33,13 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import replay_workload, scattered_workload, update_bench_json
+from conftest import (
+    bench_entry,
+    replay_workload,
+    scattered_workload,
+    time_wall,
+    update_bench_json,
+)
 
 pytestmark = pytest.mark.perf
 
@@ -41,18 +48,8 @@ RAW_FLOOR = 1.8
 L2_GEOMETRY = dict(num_sets=1024, assoc=16, line_bytes=128)  # GTX 960M
 
 
-def _stats_payload(result):
-    return {
-        "median_s": round(result.wall.median, 4),
-        "mad_s": round(result.wall.mad, 5),
-        "repeats": result.repeats,
-        "samples_s": [round(s, 4) for s in result.wall.samples],
-    }
-
-
 def test_raw_replay_speedup():
     from repro.gpusim.fast_cache import FastSetAssocCache
-    from repro.obs.bench import run_benchmark
     from tests.oracles import SetAssocCache
 
     lines, writes = replay_workload()
@@ -68,19 +65,13 @@ def test_raw_replay_speedup():
     assert [list(s) for s in ref.clone_state()] == fast.clone_state()
 
     # Then the clock: fresh cache per repeat, floors on the medians.
-    ref_res = run_benchmark(
-        "raw.reference",
-        lambda tracer: SetAssocCache(**L2_GEOMETRY).access_stream(stream),
-        repeats=3, warmup=1,
+    ref_res = time_wall(
+        lambda: SetAssocCache(**L2_GEOMETRY).access_stream(stream)
     )
-    fast_res = run_benchmark(
-        "raw.fast",
-        lambda tracer: FastSetAssocCache(**L2_GEOMETRY).replay_arrays(
-            lines, writes
-        ),
-        repeats=3, warmup=1,
+    fast_res = time_wall(
+        lambda: FastSetAssocCache(**L2_GEOMETRY).replay_arrays(lines, writes)
     )
-    ratio = ref_res.wall.median / fast_res.wall.median
+    ratio = ref_res["median_s"] / fast_res["median_s"]
 
     # Adversarial data point (reported, not floored — see module docs).
     adv_lines, adv_writes = scattered_workload()
@@ -92,23 +83,21 @@ def test_raw_replay_speedup():
     adv_fast = FastSetAssocCache(**L2_GEOMETRY)
     adv_fast.replay_arrays(adv_lines, adv_writes)
     assert adv_ref.stats.snapshot() == adv_fast.stats.snapshot()
-    adv_ref_res = run_benchmark(
-        "raw.adversarial.reference",
-        lambda tracer: SetAssocCache(**L2_GEOMETRY).access_stream(adv_stream),
-        repeats=3, warmup=0,
+    adv_ref_res = time_wall(
+        lambda: SetAssocCache(**L2_GEOMETRY).access_stream(adv_stream),
+        warmup=0,
     )
-    adv_fast_res = run_benchmark(
-        "raw.adversarial.fast",
-        lambda tracer: FastSetAssocCache(**L2_GEOMETRY).replay_arrays(
+    adv_fast_res = time_wall(
+        lambda: FastSetAssocCache(**L2_GEOMETRY).replay_arrays(
             adv_lines, adv_writes
         ),
-        repeats=3, warmup=0,
+        warmup=0,
     )
-    adv_ratio = adv_ref_res.wall.median / adv_fast_res.wall.median
+    adv_ratio = adv_ref_res["median_s"] / adv_fast_res["median_s"]
 
     print(
-        f"\nraw replay: reference {ref_res.wall.median:.3f}s "
-        f"fast {fast_res.wall.median:.3f}s -> {ratio:.2f}x "
+        f"\nraw replay: reference {ref_res['median_s']:.3f}s "
+        f"fast {fast_res['median_s']:.3f}s -> {ratio:.2f}x "
         f"(adversarial {adv_ratio:.2f}x)"
     )
     update_bench_json(
@@ -116,8 +105,8 @@ def test_raw_replay_speedup():
         "raw_replay",
         {
             "accesses": int(lines.size),
-            "reference": _stats_payload(ref_res),
-            "fast": _stats_payload(fast_res),
+            "reference": bench_entry(ref_res),
+            "fast": bench_entry(fast_res),
             "speedup": round(ratio, 2),
             "adversarial_speedup": round(adv_ratio, 2),
             "hit_rate": round(ref_hits / (ref_hits + ref_misses), 4),
@@ -126,5 +115,5 @@ def test_raw_replay_speedup():
     )
     assert ratio >= RAW_FLOOR, (
         f"vectorized raw replay only {ratio:.2f}x over the oracle "
-        f"(floor {RAW_FLOOR}x, median of {ref_res.repeats})"
+        f"(floor {RAW_FLOOR}x, median of {ref_res['repeats']})"
     )

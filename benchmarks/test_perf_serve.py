@@ -20,7 +20,7 @@ import json
 
 import pytest
 
-from conftest import update_bench_json
+from conftest import time_wall, update_bench_json
 
 pytestmark = pytest.mark.perf
 
@@ -33,17 +33,16 @@ HITS_PER_REPEAT = 200
 OLD_PATHS_PER_REPEAT = 20
 
 
-def _stats_payload(result, calls):
+def _stats_payload(stats, calls):
     return {
-        "median_ms_per_call": round(result.wall.median / calls * 1e3, 4),
-        "mad_ms_per_call": round(result.wall.mad / calls * 1e3, 5),
-        "repeats": result.repeats,
+        "median_ms_per_call": round(stats["median_s"] / calls * 1e3, 4),
+        "mad_ms_per_call": round(stats["mad_s"] / calls * 1e3, 5),
+        "repeats": stats["repeats"],
         "calls_per_repeat": calls,
     }
 
 
 def test_warm_hit_skips_graph_build_and_hash():
-    from repro.obs.bench import run_benchmark
     from repro.serve.service import PlanService
     from repro.serve.wire import parse_plan_request, plan_fingerprint
     from repro.store.store import NULL_STORE
@@ -58,20 +57,18 @@ def test_warm_hit_skips_graph_build_and_hash():
         assert warm["served"] == "memo"
         assert warm["fingerprint"] == planned["fingerprint"] == old_path()
 
-        hit_res = run_benchmark(
-            "serve.warm_hit",
-            lambda tracer: [service.plan(FIG5) for _ in range(HITS_PER_REPEAT)],
-            repeats=5, warmup=1,
+        hit_res = time_wall(
+            lambda: [service.plan(FIG5) for _ in range(HITS_PER_REPEAT)],
+            repeats=5,
         )
-        old_res = run_benchmark(
-            "serve.parse_and_fingerprint",
-            lambda tracer: [old_path() for _ in range(OLD_PATHS_PER_REPEAT)],
-            repeats=5, warmup=1,
+        old_res = time_wall(
+            lambda: [old_path() for _ in range(OLD_PATHS_PER_REPEAT)],
+            repeats=5,
         )
     finally:
         service.close()
-    hit_ms = hit_res.wall.median / HITS_PER_REPEAT * 1e3
-    old_ms = old_res.wall.median / OLD_PATHS_PER_REPEAT * 1e3
+    hit_ms = hit_res["median_s"] / HITS_PER_REPEAT * 1e3
+    old_ms = old_res["median_s"] / OLD_PATHS_PER_REPEAT * 1e3
     ratio = old_ms / hit_ms
 
     print(

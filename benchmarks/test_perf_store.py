@@ -2,10 +2,11 @@
 
 Run the scaled fig5 cold (fresh store per repeat) and warm (one
 pre-populated store) and compare the medians, with the statistical
-harness (``repro.obs.bench.run_benchmark``: repeats + median, so one
-scheduler hiccup cannot fail the job).  The cold run schedules,
-profiles, and replays from scratch; the warm run serves plans,
-profiles, and replays from disk and skips the whole scheduler.
+harness (``repro.obs.bench.run_benchmark`` through
+``conftest.time_wall``: repeats + median, so one scheduler hiccup
+cannot fail the job).  The cold run schedules, profiles, and replays
+from scratch; the warm run serves plans, profiles, and replays from
+disk and skips the whole scheduler.
 Measured ~8-20x on the development machine; floor 3.0x.  Both runs
 (and a store-less baseline) must produce bit-identical reports before
 the clock is read.  Medians land in ``BENCH_perf.json`` and the CI job
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import update_bench_json
+from conftest import bench_entry, time_wall, update_bench_json
 
 pytestmark = pytest.mark.perf
 
@@ -43,18 +44,8 @@ def _rows(result):
     return result.report.rows
 
 
-def _stats_payload(result):
-    return {
-        "median_s": round(result.wall.median, 4),
-        "mad_s": round(result.wall.mad, 5),
-        "repeats": result.repeats,
-        "samples_s": [round(s, 4) for s in result.wall.samples],
-    }
-
-
 def test_warm_cache_fig5_speedup(tmp_path):
     from repro.experiments import run_fig5
-    from repro.obs.bench import run_benchmark
     from repro.store import ArtifactStore
 
     baseline = run_fig5(**FIG5_KWARGS)
@@ -74,32 +65,25 @@ def test_warm_cache_fig5_speedup(tmp_path):
     # Cold: a fresh store per repeat, so every repeat really is cold.
     cold_dirs = iter(str(tmp_path / f"cold{i}") for i in range(16))
 
-    cold_res = run_benchmark(
-        "fig5.cold",
-        lambda tracer: run_fig5(
-            store=ArtifactStore(next(cold_dirs)), **FIG5_KWARGS
-        ),
-        repeats=3, warmup=0,
+    cold_res = time_wall(
+        lambda: run_fig5(store=ArtifactStore(next(cold_dirs)), **FIG5_KWARGS),
+        warmup=0,
     )
-    warm_res = run_benchmark(
-        "fig5.warm",
-        lambda tracer: run_fig5(
-            store=ArtifactStore(tmp_path / "seed"), **FIG5_KWARGS
-        ),
-        repeats=3, warmup=1,
+    warm_res = time_wall(
+        lambda: run_fig5(store=ArtifactStore(tmp_path / "seed"), **FIG5_KWARGS)
     )
-    ratio = cold_res.wall.median / warm_res.wall.median
+    ratio = cold_res["median_s"] / warm_res["median_s"]
 
     print(
-        f"\nwarm fig5: cold {cold_res.wall.median:.3f}s "
-        f"warm {warm_res.wall.median:.3f}s -> {ratio:.2f}x"
+        f"\nwarm fig5: cold {cold_res['median_s']:.3f}s "
+        f"warm {warm_res['median_s']:.3f}s -> {ratio:.2f}x"
     )
     update_bench_json(
         "BENCH_perf.json",
         "warm_cache_fig5",
         {
-            "cold": _stats_payload(cold_res),
-            "warm": _stats_payload(warm_res),
+            "cold": bench_entry(cold_res),
+            "warm": bench_entry(warm_res),
             "speedup": round(ratio, 2),
             "warm_hits": warm_store.hits,
             "floor": WARM_FIG5_FLOOR,
@@ -107,14 +91,13 @@ def test_warm_cache_fig5_speedup(tmp_path):
     )
     assert ratio >= WARM_FIG5_FLOOR, (
         f"warm artifact-cache fig5 only {ratio:.2f}x over cold "
-        f"(floor {WARM_FIG5_FLOOR}x, median of {cold_res.repeats})"
+        f"(floor {WARM_FIG5_FLOOR}x, median of {cold_res['repeats']})"
     )
 
 
 def test_warm_store_new_point_speedup(tmp_path):
     from repro.experiments import run_fig5
     from repro.gpusim.freq import FIG5_CONFIGS, FrequencyConfig
-    from repro.obs.bench import run_benchmark
     from repro.store import ArtifactStore
 
     # Points of the bench's DVFS ladder: each repeat meets a point the
@@ -138,37 +121,33 @@ def test_warm_store_new_point_speedup(tmp_path):
         "the new point recomputed more than its plan"
     )
 
-    cold_res = run_benchmark(
-        "fig5.new_point.cold",
-        lambda tracer: run_fig5(configs=(next(points),), **FIG5_KWARGS),
-        repeats=3, warmup=0,
+    cold_res = time_wall(
+        lambda: run_fig5(configs=(next(points),), **FIG5_KWARGS), warmup=0
     )
-    warm_res = run_benchmark(
-        "fig5.new_point.warm",
-        lambda tracer: run_fig5(
+    warm_res = time_wall(
+        lambda: run_fig5(
             configs=tuple(FIG5_CONFIGS) + (next(points),),
             store=ArtifactStore(store_dir),
             **FIG5_KWARGS,
-        ),
-        repeats=3, warmup=1,
+        )
     )
-    ratio = cold_res.wall.median / warm_res.wall.median
+    ratio = cold_res["median_s"] / warm_res["median_s"]
 
     print(
-        f"\nwarm new point: cold {cold_res.wall.median:.3f}s "
-        f"warm {warm_res.wall.median:.3f}s -> {ratio:.2f}x"
+        f"\nwarm new point: cold {cold_res['median_s']:.3f}s "
+        f"warm {warm_res['median_s']:.3f}s -> {ratio:.2f}x"
     )
     update_bench_json(
         "BENCH_perf.json",
         "warm_store_new_point",
         {
-            "cold": _stats_payload(cold_res),
-            "warm": _stats_payload(warm_res),
+            "cold": bench_entry(cold_res),
+            "warm": bench_entry(warm_res),
             "speedup": round(ratio, 2),
             "floor": NEW_POINT_FLOOR,
         },
     )
     assert ratio >= NEW_POINT_FLOOR, (
         f"a new point on a warm store only {ratio:.2f}x over cold "
-        f"(floor {NEW_POINT_FLOOR}x, median of {cold_res.repeats})"
+        f"(floor {NEW_POINT_FLOOR}x, median of {cold_res['repeats']})"
     )

@@ -41,6 +41,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
+from repro.apps.synthetic import MAX_PROBE_KERNELS
 from repro.core.fast_cluster import PLANNER_BACKEND_ENV_VAR, PLANNER_BACKENDS
 from repro.errors import ConfigurationError
 from repro.experiments import (
@@ -65,17 +66,65 @@ from repro.obs import (
 from repro.store import STORE_ENV_VAR, resolve_store
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of the count and size flags: an integer >= 1."""
+def _int_value(text: str) -> int:
+    """``int(text)``, or an argparse error naming the bad value."""
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}"
         ) from None
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of the count and size flags: an integer >= 1."""
+    value = _int_value(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type of ``--warmup``: an integer >= 0."""
+    value = _int_value(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    """argparse type of ``--drift-tol``: a float >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
+def _probe_kernels(text: str) -> int:
+    """argparse type of a probe-graph size: an integer in
+    [1, MAX_PROBE_KERNELS]."""
+    value = _positive_int(text)
+    if value > MAX_PROBE_KERNELS:
+        raise argparse.ArgumentTypeError(
+            f"must be <= {MAX_PROBE_KERNELS}, got {value}"
+        )
+    return value
+
+
+def _sweep_sizes(text: str) -> List[int]:
+    """argparse type of ``--sweep-sizes``: a comma list of at least two
+    distinct probe-graph sizes."""
+    sizes = [_probe_kernels(item) for item in text.split(",")]
+    if len(set(sizes)) < 2:
+        raise argparse.ArgumentTypeError(
+            f"want at least two distinct sizes, got {text!r}"
+        )
+    return sizes
 
 
 #: One ``add_argument`` call: the flags and their keyword arguments.
@@ -472,10 +521,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     sweep = None
     if args.sweep:
         shape = args.preset if args.preset in PROBE_SHAPES else "chain"
-        sizes = [int(n) for n in args.sweep_sizes.split(",")]
         sweep = run_sweep(
             shape=shape,
-            sizes=sizes,
+            sizes=args.sweep_sizes,
             repeats=args.repeats,
             warmup=args.warmup,
             spec=spec,
@@ -703,42 +751,10 @@ def _cmd_client(args: argparse.Namespace) -> int:
     return code
 
 
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.obs.loadgen import run_loadgen, write_doc
-
-    app_params = {}
-    for flag in ("size", "levels", "iters", "kernels", "seed_param"):
-        value = getattr(args, flag)
-        if value is not None:
-            app_params[flag.replace("_param", "")] = value
-    doc = run_loadgen(
-        url=args.url,
-        preset=args.preset,
-        clients=args.clients,
-        requests=args.requests,
-        distinct=args.distinct,
-        seed=args.seed,
-        app_params=app_params or None,
-        planner_backend=args.planner_backend,
-        log=lambda message: print(message, file=sys.stderr),
-    )
-    summary = doc["loadgen"]
-    print(
-        f"{summary['requests']} requests, "
-        f"{summary['throughput_rps']:.1f} req/s, "
-        f"p50 {summary['p50_ms']:.2f}ms, p99 {summary['p99_ms']:.2f}ms"
-    )
-    if args.json:
-        write_doc(doc, args.json)
-        print(f"wrote {args.json}")
-    return 0
-
-
 SERVE_CLIENT_ACTIONS = (
     "plan", "explain", "diff", "health", "metrics", "statusz", "vars",
     "tracez",
 )
-LOADGEN_PRESETS = PROFILE_PRESETS
 
 
 # ----------------------------------------------------------------------
@@ -764,16 +780,6 @@ class Subcommand:
 
 
 _JACOBI_SIZE = _opt("--size", type=int, default=512, help="Jacobi image side")
-#: The preset parameters ``client`` and ``loadgen`` put in request bodies.
-_APP_PARAM_OPTIONS = (
-    _opt("--size", type=int, default=None,
-         help="preset size parameter (server default if omitted)"),
-    _opt("--levels", type=int, default=None, help="pyramid levels (fig5)"),
-    _opt("--iters", type=int, default=None,
-         help="Jacobi iterations (fig5, jacobi)"),
-    _opt("--kernels", type=int, default=None,
-         help="probe-graph node count (chain/fan/grid)"),
-)
 _HSOF_OPTIONS = (
     _opt("--frame-size", type=int, default=256),
     _opt("--levels", type=int, default=3),
@@ -903,9 +909,9 @@ SUBCOMMANDS = (
             _opt("--preset", choices=PROFILE_PRESETS, default="demo",
                  help="application to profile (probe shapes honour "
                       "--kernels/--seed)"),
-            _opt("--kernels", type=_positive_int, default=64, metavar="N",
+            _opt("--kernels", type=_probe_kernels, default=64, metavar="N",
                  help="probe-graph node count (probe presets only)"),
-            _opt("--size", type=int, default=None,
+            _opt("--size", type=_positive_int, default=None,
                  help="image side for probe graphs (default 32)"),
             _opt("--seed", type=int, default=0,
                  help="probe-graph scale-factor jitter seed"),
@@ -914,11 +920,13 @@ SUBCOMMANDS = (
                  help="frame-capture engine ('none' = counters only)"),
             _opt("--sweep", action="store_true",
                  help="also sweep a probe-size ladder and fit exponents"),
-            _opt("--sweep-sizes", metavar="A,B,C", default="8,16,32,64",
-                 help="comma-separated kernel counts of the sweep ladder"),
+            _opt("--sweep-sizes", type=_sweep_sizes, metavar="A,B,C",
+                 default="8,16,32,64",
+                 help="comma-separated kernel counts of the sweep ladder "
+                      "(at least two distinct)"),
             _opt("--repeats", type=_positive_int, default=3, metavar="N",
                  help="timed repeats per ladder point"),
-            _opt("--warmup", type=int, default=1, metavar="K",
+            _opt("--warmup", type=_non_negative_int, default=1, metavar="K",
                  help="untimed warmup runs per ladder point"),
             _opt("--json", "-o", metavar="PATH", default="profile.json",
                  help="planner-profile document output path "
@@ -929,7 +937,8 @@ SUBCOMMANDS = (
                  help="self-contained profile dashboard output path"),
             _opt("--baseline", metavar="PATH", default=None,
                  help="baseline profile JSON for exponent-drift check"),
-            _opt("--drift-tol", type=float, default=0.35, metavar="TOL",
+            _opt("--drift-tol", type=_non_negative_float, default=0.35,
+                 metavar="TOL",
                  help="exponent drift tolerance vs the baseline"),
             _opt("--strict", action="store_true",
                  help="exit 2 on exponent drift (default: advisory)"),
@@ -987,7 +996,14 @@ SUBCOMMANDS = (
                  help="daemon base URL"),
             _opt("--preset", choices=PROFILE_PRESETS, default="demo",
                  help="application preset to plan/explain"),
-        ) + _APP_PARAM_OPTIONS + (
+            _opt("--size", type=int, default=None,
+                 help="preset size parameter (server default if omitted)"),
+            _opt("--levels", type=int, default=None,
+                 help="pyramid levels (fig5)"),
+            _opt("--iters", type=int, default=None,
+                 help="Jacobi iterations (fig5, jacobi)"),
+            _opt("--kernels", type=int, default=None,
+                 help="probe-graph node count (chain/fan/grid)"),
             _opt("--seed", type=int, default=None,
                  help="probe-graph jitter seed (chain/fan/grid)"),
             _opt("--gpu-base",
@@ -1018,32 +1034,6 @@ SUBCOMMANDS = (
                       "and echoes it back)"),
         ),
         groups=(L2_OPTIONS, PLANNER_OPTIONS),
-    ),
-    Subcommand(
-        "loadgen", _cmd_loadgen,
-        "closed-loop load generator against the serve daemon; emits a "
-        "schema-valid bench document (req/s, p50/p99)",
-        options=(
-            _opt("--url", default=None,
-                 help="daemon base URL (default: boot an in-process daemon "
-                      "for the run)"),
-            _opt("--preset", choices=LOADGEN_PRESETS, default="demo"),
-            _opt("--clients", type=_positive_int, default=4, metavar="N",
-                 help="concurrent closed-loop client threads"),
-            _opt("--requests", type=_positive_int, default=25, metavar="N",
-                 help="timed requests per client"),
-            _opt("--distinct", type=_positive_int, default=1, metavar="K",
-                 help="distinct request fingerprints to rotate over (walks "
-                      "a frequency ladder)"),
-            _opt("--seed", type=int, default=0,
-                 help="request-schedule seed (deterministic mix)"),
-        ) + _APP_PARAM_OPTIONS + (
-            _opt("--seed-param", type=int, default=None, metavar="SEED",
-                 help="probe-graph jitter seed (chain/fan/grid)"),
-            _opt("--json", metavar="PATH", default=None,
-                 help="bench-document output path (BENCH artifact)"),
-        ),
-        groups=(PLANNER_OPTIONS,),
     ),
 )
 

@@ -148,10 +148,13 @@ class KernelGraph:
         return iter(self.nodes)
 
     def node(self, node_id: int) -> KernelNode:
-        try:
-            return self.nodes[node_id]
-        except IndexError:
-            raise GraphError(f"unknown node id {node_id}") from None
+        # One comparison: a negative id would index from the list's end.
+        if node_id >= 0:
+            try:
+                return self.nodes[node_id]
+            except IndexError:
+                pass
+        raise GraphError(f"unknown node id {node_id}")
 
     def node_by_name(self, name: str) -> KernelNode:
         for node in self.nodes:

@@ -13,10 +13,10 @@ The subsystem's pieces:
 * :mod:`repro.obs.audit` — opt-in L2 miss attribution (cold /
   capacity / conflict, per kernel and buffer) and the default-vs-tiled
   schedule auditor behind ``ktiler explain``;
-* :mod:`repro.obs.bench` — benchmark statistics (median/MAD/
-  bootstrap CI), span-to-phase attribution, environment fingerprints,
-  and the schema check of the load generator's bench document;
-* :mod:`repro.obs.doccheck` — the checks all six document validators
+* :mod:`repro.obs.bench` — median/MAD, span-to-phase attribution,
+  environment fingerprints, and :func:`run_benchmark`, the one
+  timed-repeat loop (warmup, then repeats under fresh tracers);
+* :mod:`repro.obs.doccheck` — the checks all five document validators
   share (header, required keys, rows, counters, ``ci95``, JSON IO);
 * :mod:`repro.obs.pages` — the shared HTML page shell and the
   ``ktiler profile`` dashboard;
@@ -85,16 +85,12 @@ from repro.obs.slog import (
     validate_slog,
 )
 from repro.obs.bench import (
-    BENCH_SCHEMA_VERSION,
     PHASES,
-    BenchResult,
-    SampleStats,
-    bootstrap_ci,
+    Repeat,
     environment_fingerprint,
     mad,
     phase_breakdown,
     run_benchmark,
-    validate_bench,
 )
 from repro.obs.pages import render_profile_html, write_profile_html
 from repro.obs.profile import (
@@ -205,16 +201,12 @@ __all__ = [
     "render_html",
     "validate_audit",
     "write_audit",
-    "BENCH_SCHEMA_VERSION",
     "PHASES",
-    "BenchResult",
-    "SampleStats",
-    "bootstrap_ci",
+    "Repeat",
     "environment_fingerprint",
     "mad",
     "phase_breakdown",
     "run_benchmark",
-    "validate_bench",
     "render_profile_html",
     "write_profile_html",
     "PROFILE_SCHEMA_VERSION",

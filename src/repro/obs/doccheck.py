@@ -1,13 +1,13 @@
 """The checks every repository document shares (``repro.obs.doccheck``).
 
-Six validators guard the JSON documents this package writes and reads:
-``validate_bench`` (with the load generator's block), ``validate_profile``,
-``validate_audit``, ``validate_ledger``, ``validate_diff`` and
-``validate_slog``.  Each keeps only its own document's invariants (the
-miss-class partition, ``hit_delta``, "identical ⇒ no divergence"); the
-checks they all repeat are the plain functions here: the object /
-``schema_version`` / ``kind`` header, required keys, rows of objects,
-non-negative integer counters, an ordered ``ci95``, and JSON write/load.
+Five validators guard the JSON documents this package writes and
+reads: ``validate_profile``, ``validate_audit``, ``validate_ledger``,
+``validate_diff`` and ``validate_slog``.  Each keeps only its own
+document's invariants (the miss-class partition, ``hit_delta``,
+"identical ⇒ no divergence"); the checks they all repeat are the plain
+functions here: the object / ``schema_version`` / ``kind`` header,
+required keys, rows of objects, non-negative integer counters, an
+ordered ``ci95``, and JSON write/load.
 
 A failed check raises :class:`ValueError` as ``invalid <document>:
 <violation>``, naming the first violation.  Messages are formatted only

@@ -1,8 +1,8 @@
 """Streaming log-bucket latency histograms.
 
 The serve daemon needs latency *distributions*, not just sums: a p99
-that doubles while the mean sleeps is exactly the regression the
-loadgen harness (and a human on ``/statusz``) must see.  Storing raw
+that doubles while the mean sleeps is exactly the regression
+``/metrics`` and a human on ``/statusz`` must see.  Storing raw
 samples is off the table for a long-running daemon, so this module
 provides the classic fixed-layout log-bucket histogram:
 
@@ -143,40 +143,6 @@ class LogHistogram:
             pairs.append((_format_bound(bound), cumulative))
         pairs.append(("+Inf", cumulative + self.counts[-1]))
         return pairs
-
-    def as_dict(self) -> Dict[str, object]:
-        """A JSON-safe, lossless serialization (``from_dict`` inverts)."""
-        return {
-            "bounds": list(self.bounds),
-            "counts": list(self.counts),
-            "count": self.count,
-            "sum": round(self.sum, 9),
-            "min": self.min,
-            "max": self.max,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "LogHistogram":
-        if not isinstance(payload, dict):
-            raise ValueError("histogram payload must be a dict")
-        hist = cls(payload["bounds"])  # type: ignore[arg-type]
-        counts = payload.get("counts")
-        if (
-            not isinstance(counts, list)
-            or len(counts) != len(hist.counts)
-            or any(not isinstance(c, int) or c < 0 for c in counts)
-        ):
-            raise ValueError("histogram counts malformed")
-        hist.counts = list(counts)
-        hist.count = int(payload.get("count", 0))
-        if hist.count != sum(counts):
-            raise ValueError("histogram count != sum of bucket counts")
-        hist.sum = float(payload.get("sum", 0.0))
-        hist.min = None if payload.get("min") is None else float(payload["min"])  # type: ignore[arg-type]
-        hist.max = None if payload.get("max") is None else float(payload["max"])  # type: ignore[arg-type]
-        if hist.count and (hist.min is None or hist.max is None):
-            raise ValueError("non-empty histogram missing min/max")
-        return hist
 
     def snapshot(
         self, quantiles: Sequence[float] = (0.5, 0.9, 0.99)

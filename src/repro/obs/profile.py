@@ -51,13 +51,13 @@ import numpy as np
 
 from repro.obs import doccheck
 from repro.obs.bench import (
-    _BOOTSTRAP_SEED,
     ENVIRONMENT_FIELDS,
     PHASES,
     environment_fingerprint,
     mad,
     median,
     phase_breakdown,
+    run_benchmark,
 )
 from repro.obs.tracer import Tracer
 
@@ -69,6 +69,9 @@ PROFILE_ENGINES = ("stack", "cprofile")
 
 #: Default size ladder of ``ktiler profile --sweep`` (kernel counts).
 DEFAULT_SWEEP_SIZES = (8, 16, 32, 64)
+
+#: Fixed bootstrap seed: the CI of a given fit is reproducible.
+_BOOTSTRAP_SEED = 20190325  # DATE 2019
 
 
 def _work_counter_names() -> tuple:
@@ -480,12 +483,13 @@ def run_sweep(
 ) -> dict:
     """Plan a :func:`build_probe_graph` size ladder; fit scaling exponents.
 
-    Each ladder point runs the *full* pipeline (fresh KTiler per
-    repeat, fresh Tracer — the :func:`~repro.obs.bench.run_benchmark`
-    discipline) so the per-phase exponents cover trace analysis and
-    profiling too, not just Algorithm 1/2.  Returns the sweep section
-    of a profile document: per-point stats plus fitted exponents for
-    wall time, every active phase, and every active work counter.
+    Each ladder point runs the *full* pipeline under
+    :func:`~repro.obs.bench.run_benchmark` (fresh KTiler and Tracer per
+    repeat), so the per-phase exponents cover trace analysis and
+    profiling too, not just Algorithm 1/2.  A repeat keeps only its
+    plan's work dict.  Returns the sweep section of a profile document:
+    per-point stats plus fitted exponents for wall time, every active
+    phase, and every active work counter.
     """
     from repro.apps.synthetic import build_probe_graph
     from repro.core import KTiler, KTilerConfig
@@ -509,35 +513,26 @@ def run_sweep(
             shape=shape, kernels=kernels, size=image_size, seed=seed
         )
 
-        def run(tracer: Tracer):
+        def plan_work(tracer: Tracer) -> dict:
             ktiler = KTiler(
                 app.graph, spec, config,
                 tracer=tracer, planner_backend=planner_backend,
             )
-            return ktiler.plan()
+            return ktiler.plan().stats.work.as_dict()
 
-        for _ in range(max(0, warmup)):
-            run(Tracer())
-        wall: List[float] = []
-        breakdowns: List[Dict[str, float]] = []
-        works: List[Dict[str, int]] = []
-        for _ in range(repeats):
-            tracer = Tracer()
-            t0 = time.perf_counter()
-            result = run(tracer)
-            wall_s = time.perf_counter() - t0
-            wall.append(wall_s)
-            breakdowns.append(phase_breakdown(tracer.events, wall_s=wall_s))
-            works.append(result.stats.work.as_dict())
-        if any(w != works[0] for w in works[1:]):
+        runs = run_benchmark(plan_work, repeats=repeats, warmup=warmup)
+        wall = [run.wall_s for run in runs]
+        work = runs[0].value
+        if any(run.value != work for run in runs[1:]):
             raise AssertionError(
                 f"work counters varied across repeats at {shape}/{kernels}: "
-                f"{works} — the work-counter contract is broken"
+                f"{[run.value for run in runs]} — the work-counter contract "
+                "is broken"
             )
         wall_series.append(wall)
         for phase in PHASES:
-            phase_series[phase].append([b.get(phase, 0.0) for b in breakdowns])
-        for name, value in works[0].items():
+            phase_series[phase].append([run.phases[phase] for run in runs])
+        for name, value in work.items():
             work_series[name].append([float(value)] * repeats)
         points.append(
             {
@@ -547,18 +542,18 @@ def run_sweep(
                     "mad": round(mad(wall), 6),
                 },
                 "phases": {
-                    phase: round(median([b.get(phase, 0.0) for b in breakdowns]), 6)
-                    for phase in PHASES
-                    if any(b.get(phase, 0.0) > 0.0 for b in breakdowns)
+                    phase: round(median(series[-1]), 6)
+                    for phase, series in phase_series.items()
+                    if any(s > 0.0 for s in series[-1])
                 },
-                "work": works[0],
+                "work": work,
             }
         )
         if log is not None:
             log(
                 f"probe.{shape} kernels={kernels}: "
                 f"median {median(wall):.3f}s, "
-                f"work total {sum(works[0].values())}"
+                f"work total {sum(work.values())}"
             )
     exponents: Dict[str, object] = {
         "wall_s": fit_exponent(sizes, wall_series),

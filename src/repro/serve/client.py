@@ -1,9 +1,9 @@
 """Minimal stdlib client of the tiling service.
 
-Used by ``ktiler client``, the load generator, and the black-box test
-suite — all of which deliberately go through real HTTP rather than
-calling :class:`~repro.serve.service.PlanService` directly, so the wire
-format itself is what gets exercised.
+Used by ``ktiler client``, the benchmark's serve workloads, and the
+black-box test suite — all of which deliberately go through real HTTP
+rather than calling :class:`~repro.serve.service.PlanService` directly,
+so the wire format itself is what gets exercised.
 
 Connections are kept alive: each thread that uses a client gets its
 own ``http.client.HTTPConnection`` and reuses it for every request, so

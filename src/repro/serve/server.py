@@ -21,7 +21,7 @@ Two entry points:
 
 * :func:`start_server` — bind (ephemeral ports welcome), serve in a
   background thread, return a context-managed :class:`ServeHandle`.
-  This is what the tests and the in-process load generator use.
+  This is what the tests use.
 * :func:`run_forever` — the ``ktiler serve`` main loop: SIGTERM/SIGINT
   trigger a clean shutdown (drain, close, print a summary, exit 0).
 """

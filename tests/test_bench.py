@@ -1,41 +1,34 @@
-"""Tests for the benchmark statistics (``repro.obs.bench``).
+"""Tests for the timed loop and phase attribution (``repro.obs.bench``).
 
 Four attack surfaces, mirroring the house style of the neighboring
 suites:
 
-* **statistics oracles** — median/MAD/bootstrap-CI/outlier flags
-  against hand-computed values and degenerate inputs (``test_audit``
-  style unit oracles);
+* **statistics oracles** — median/MAD against hand-computed values and
+  degenerate inputs (``test_audit`` style unit oracles);
 * **phase attribution** — synthetic nested span lists with known
   exclusive times, plus a real traced pipeline run covering every
   phase;
 * **environment fingerprint** — every recorded field is present and
   the planner backend is the resolved one;
-* **the document schema** — :func:`validate_bench` accepts a valid
-  bench-run document and names the first violation of a broken one.
+* **the timed loop** — :func:`run_benchmark` makes its warmup calls,
+  gives every call a fresh tracer, and keeps per repeat the wall time,
+  the phase breakdown and what the callable returned.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.bench import (
-    BENCH_SCHEMA_VERSION,
     ENVIRONMENT_FIELDS,
     PHASES,
-    SampleStats,
-    bootstrap_ci,
     environment_fingerprint,
     mad,
     median,
-    outlier_indices,
     phase_breakdown,
     run_benchmark,
-    validate_bench,
 )
 from repro.obs.tracer import Tracer
 
@@ -58,48 +51,6 @@ class TestStatsOracles:
             median([])
         with pytest.raises(ValueError):
             mad([])
-        with pytest.raises(ValueError):
-            bootstrap_ci([])
-
-    def test_bootstrap_ci_is_deterministic_and_ordered(self):
-        xs = [0.10, 0.11, 0.12, 0.10, 0.13, 0.11]
-        lo1, hi1 = bootstrap_ci(xs)
-        lo2, hi2 = bootstrap_ci(xs)
-        assert (lo1, hi1) == (lo2, hi2)
-        assert min(xs) <= lo1 <= hi1 <= max(xs)
-
-    def test_bootstrap_ci_contains_the_median(self):
-        xs = [0.10, 0.11, 0.12, 0.10, 0.13, 0.11, 0.12]
-        lo, hi = bootstrap_ci(xs)
-        assert lo <= median(xs) <= hi
-
-    def test_bootstrap_ci_single_sample_degenerates(self):
-        assert bootstrap_ci([0.5]) == (0.5, 0.5)
-
-    def test_bootstrap_ci_narrows_with_confidence(self):
-        xs = [0.10, 0.15, 0.12, 0.09, 0.13, 0.11, 0.14, 0.10]
-        lo95, hi95 = bootstrap_ci(xs, confidence=0.95)
-        lo50, hi50 = bootstrap_ci(xs, confidence=0.50)
-        assert hi50 - lo50 <= hi95 - lo95
-
-    def test_outlier_flags_injected_spike(self):
-        xs = [0.10, 0.11, 0.10, 0.12, 0.11, 5.0]
-        assert outlier_indices(xs) == [5]
-
-    def test_outliers_empty_on_constant_and_tight_samples(self):
-        assert outlier_indices([1.0, 1.0, 1.0]) == []
-        assert outlier_indices([0.10, 0.11, 0.10, 0.12]) == []
-
-    def test_sample_stats_bundle(self):
-        stats = SampleStats.from_samples([0.3, 0.1, 0.2])
-        assert stats.median == 0.2
-        assert stats.min == 0.1 and stats.max == 0.3
-        assert stats.ci95[0] <= stats.median <= stats.ci95[1]
-        d = stats.as_dict()
-        assert set(d) == {
-            "samples", "median", "mad", "mean", "min", "max", "ci95",
-            "outliers",
-        }
 
     @given(
         st.lists(
@@ -217,13 +168,15 @@ class TestRunBenchmark:
             calls.append(tracer)
             with tracer.span("tally_schedule", cat="replay"):
                 pass
+            return len(calls)
 
-        result = run_benchmark("x", fn, repeats=4, warmup=2)
+        runs = run_benchmark(fn, repeats=4, warmup=2)
         assert len(calls) == 6
-        assert result.repeats == 4 and result.warmup == 2
-        assert len(result.wall.samples) == 4
-        assert len(result.cpu.samples) == 4
-        assert "replay" in result.phases
+        assert [run.value for run in runs] == [3, 4, 5, 6]
+        for run in runs:
+            assert set(run.phases) == set(PHASES)
+            assert run.phases["replay"] > 0.0
+            assert sum(run.phases.values()) == pytest.approx(run.wall_s)
 
     def test_each_repeat_gets_a_fresh_tracer(self):
         seen = []
@@ -232,24 +185,16 @@ class TestRunBenchmark:
             assert not tracer.events
             seen.append(tracer)
 
-        run_benchmark("x", fn, repeats=3, warmup=1)
+        run_benchmark(fn, repeats=3, warmup=1)
         assert len({id(t) for t in seen}) == 4
 
     def test_rejects_zero_repeats(self):
         with pytest.raises(ValueError):
-            run_benchmark("x", lambda tracer: None, repeats=0)
-
-    def test_as_dict_shape(self):
-        result = run_benchmark("x", lambda tracer: None, repeats=2, warmup=0)
-        d = result.as_dict()
-        assert d["name"] == "x"
-        assert set(d) == {
-            "name", "repeats", "warmup", "wall_s", "cpu_s", "phases",
-        }
-        # a fn that plans nothing leaves no planner.* families behind
-        assert result.work == {}
+            run_benchmark(lambda tracer: None, repeats=0)
 
     def test_work_counters_captured_from_a_planning_fn(self):
+        """A repeat keeps what the callable returns: here the plan's
+        work dict, the same in every repeat, and never the plan."""
         from repro.apps.synthetic import build_probe_graph
         from repro.core import KTiler, KTilerConfig
         from repro.gpusim import GpuSpec
@@ -259,89 +204,10 @@ class TestRunBenchmark:
         config = KTilerConfig(launch_overhead_us=2.0)
 
         def fn(tracer):
-            KTiler(app.graph, spec, config, tracer=tracer).plan()
+            plan = KTiler(app.graph, spec, config, tracer=tracer).plan()
+            return plan.stats.work.as_dict()
 
-        result = run_benchmark("plan", fn, repeats=2, warmup=0)
-        assert result.work["merge_probes"] > 0
-        assert result.as_dict()["work"] == result.work
-
-
-# ----------------------------------------------------------------------
-# Synthetic documents for the schema tests
-# ----------------------------------------------------------------------
-_ENV = environment_fingerprint()
-
-
-def _doc(benchmarks, env=None):
-    """A valid bench-run document from {name: (samples, phases)}."""
-    return validate_bench({
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "kind": "bench-run",
-        "created_unix": 0.0,
-        "environment": dict(env or _ENV),
-        "config": {"repeats": 3, "warmup": 0, "scale": "quick"},
-        "benchmarks": [
-            {
-                "name": name,
-                "repeats": len(samples),
-                "warmup": 0,
-                "wall_s": SampleStats.from_samples(samples).as_dict(),
-                "cpu_s": SampleStats.from_samples(samples).as_dict(),
-                "phases": {
-                    phase: {"median": m, "mad": d}
-                    for phase, (m, d) in phases.items()
-                },
-            }
-            for name, (samples, phases) in benchmarks.items()
-        ],
-    })
-
-
-class TestValidateBench:
-    def test_accepts_real_and_synthetic_docs(self):
-        _doc({"a": ([0.1, 0.2, 0.3], {"replay": (0.1, 0.01)})})
-
-    @pytest.mark.parametrize(
-        "mutate, message",
-        [
-            (lambda d: d.update(schema_version=99), "schema_version"),
-            (lambda d: d.update(kind="other"), "kind"),
-            (lambda d: d.pop("environment"), "environment"),
-            (lambda d: d["environment"].pop("cpu_count"), "cpu_count"),
-            (lambda d: d.update(benchmarks=[]), "benchmarks"),
-            (
-                lambda d: d["benchmarks"][0].pop("wall_s"),
-                "wall_s",
-            ),
-            (
-                lambda d: d["benchmarks"][0]["phases"].update(warp={}),
-                "phase",
-            ),
-            (
-                lambda d: d.update(benchmarks=d["benchmarks"] * 2),
-                "duplicate",
-            ),
-            (
-                lambda d: d["benchmarks"][0].update(work="lots"),
-                "work",
-            ),
-            (
-                lambda d: d["benchmarks"][0].update(work={"merge_probes": -1}),
-                "work",
-            ),
-        ],
-    )
-    def test_rejects_malformed_documents(self, mutate, message):
-        doc = json.loads(json.dumps(
-            _doc({"a": ([0.1, 0.2, 0.3], {"replay": (0.1, 0.01)})})
-        ))
-        mutate(doc)
-        with pytest.raises(ValueError, match=message):
-            validate_bench(doc)
-
-    def test_rejects_repeats_sample_mismatch(self):
-        doc = _doc({"a": ([0.1, 0.2, 0.3], {})})
-        doc = json.loads(json.dumps(doc))
-        doc["benchmarks"][0]["repeats"] = 5
-        with pytest.raises(ValueError, match="sample count"):
-            validate_bench(doc)
+        runs = run_benchmark(fn, repeats=2, warmup=0)
+        assert runs[0].value["merge_probes"] > 0
+        assert runs[1].value == runs[0].value
+        assert runs[0].phases["partition"] > 0.0

@@ -75,15 +75,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["client", "plan", "--gpu-base", "tpu"])
 
-    def test_loadgen_registered_with_defaults(self):
-        args = build_parser().parse_args(["loadgen"])
-        assert args.command == "loadgen"
-        assert args.url is None and args.preset == "demo"
-        assert args.clients == 4 and args.requests == 25
-        assert args.distinct == 1 and args.seed == 0
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["loadgen", "--preset", "nope"])
-
 
 class TestCountFlags:
     """Count and size flags must be >= 1, checked by argparse before any
@@ -94,11 +85,10 @@ class TestCountFlags:
         [
             ["explain", "--l2-kb", "0"],
             ["explain", "--l2-kb", "-64"],
-            ["loadgen", "--clients", "0"],
-            ["loadgen", "--requests", "0"],
-            ["loadgen", "--distinct", "0"],
             ["profile", "--repeats", "0"],
             ["profile", "--kernels", "0"],
+            ["profile", "--size", "0"],
+            ["profile", "--size", "-8"],
             ["serve", "--planner-threads", "0"],
             ["serve", "--tracez-capacity", "0"],
             ["serve", "--max-body-kb", "0"],
@@ -115,9 +105,38 @@ class TestCountFlags:
 
     def test_non_integer_count_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["loadgen", "--clients", "four"])
+            main(["profile", "--repeats", "four"])
         assert exc.value.code == 2
         assert "invalid int value: 'four'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(argv, message, id=" ".join(argv))
+            for argv, message in (
+                (["profile", "--sweep-sizes", "8,x"], "invalid int value: 'x'"),
+                (["profile", "--sweep-sizes", "0,8"], "must be >= 1, got 0"),
+                (["profile", "--sweep-sizes", "8,8"], "want at least two"),
+                (["profile", "--sweep-sizes", "8"], "want at least two"),
+                (["profile", "--sweep-sizes", "8,16385"], "must be <= 16384"),
+                (["profile", "--kernels", "16385"], "must be <= 16384"),
+                (["profile", "--warmup", "-1"], "must be >= 0, got -1"),
+                (["profile", "--drift-tol", "-1"], "must be >= 0, got -1"),
+                (["profile", "--drift-tol", "nan"], "must be >= 0, got nan"),
+                (["profile", "--drift-tol", "loose"], "invalid float value"),
+            )
+        ],
+    )
+    def test_bad_profile_value_exits_2_with_usage(self, argv, message, capsys):
+        """Probe sizes, the sweep ladder, the warmup count and the drift
+        tolerance are checked by argparse too: no traceback, no silent
+        fallback."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {argv[1]}: {message}" in err
 
     @pytest.mark.parametrize("command", ["explain", "fig2", "profile"])
     def test_l2_size_the_geometry_cannot_hold_exits_2(
@@ -152,8 +171,6 @@ _FLAGS_A_SUBCOMMAND_IGNORES = [
     ("serve", "--l2-kb"), ("serve", "--trace"), ("serve", "--metrics"),
     ("client", "--cache-dir"), ("client", "--no-cache"),
     ("client", "--trace"), ("client", "--metrics"),
-    ("loadgen", "--l2-kb"), ("loadgen", "--cache-dir"),
-    ("loadgen", "--no-cache"), ("loadgen", "--trace"), ("loadgen", "--metrics"),
 ]
 
 _FLAG_VALUES = {
@@ -183,7 +200,8 @@ class TestOptionGroups:
 
     def test_flag_instances(self):
         """Flag instances across subcommands: 153 before the groups,
-        129 after; a new flag raises this count on purpose."""
+        129 after, 116 without ``loadgen``; a new flag raises this count
+        on purpose."""
         import argparse
 
         from repro.cli import SUBCOMMANDS
@@ -200,7 +218,7 @@ class TestOptionGroups:
             for flag in action.option_strings
             if flag.startswith("--") and flag != "--help"
         ]
-        assert len(flags) == 129
+        assert len(flags) == 116
 
 
 class TestAblationCommand:
@@ -276,24 +294,6 @@ class TestClientRequestBody:
 
 
 class TestServeExecution:
-    def test_loadgen_cli_writes_bench_document(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        from repro.obs.bench import validate_bench
-        import json
-
-        monkeypatch.chdir(tmp_path)
-        code = main([
-            "loadgen", "--preset", "demo", "--clients", "2",
-            "--requests", "3", "--json", "out.json",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "req/s" in out and "wrote out.json" in out
-        with open(tmp_path / "out.json") as fh:
-            doc = validate_bench(json.load(fh))
-        assert doc["loadgen"]["requests"] == 6
-
     def test_client_against_live_daemon(self, capsys, tmp_path, monkeypatch):
         from repro.serve.server import start_server
         from repro.serve.service import PlanService

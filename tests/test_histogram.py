@@ -141,29 +141,6 @@ class TestQuantiles:
 
 
 class TestSerialization:
-    @given(samples=value_lists)
-    @settings(max_examples=100, deadline=None)
-    def test_as_dict_round_trip_lossless(self, samples):
-        hist = _fill(samples)
-        clone = LogHistogram.from_dict(hist.as_dict())
-        assert clone.counts == hist.counts
-        assert clone.count == hist.count
-        assert clone.min == hist.min
-        assert clone.max == hist.max
-        assert clone.bounds == hist.bounds
-
-    def test_from_dict_rejects_malformed(self):
-        good = _fill([0.001]).as_dict()
-        for corrupt in (
-            "not a dict",
-            {**good, "counts": good["counts"][:-1]},
-            {**good, "counts": [c - 1 for c in good["counts"]]},
-            {**good, "count": 999},
-            {**good, "min": None},
-        ):
-            with pytest.raises(ValueError):
-                LogHistogram.from_dict(corrupt)
-
     def test_snapshot_trims_to_occupied_range(self):
         hist = _fill([0.0004, 0.01])
         buckets = hist.snapshot()["buckets"]

@@ -85,6 +85,13 @@ class TestAccessors:
         with pytest.raises(GraphError):
             g.node_by_name("nope")
 
+    def test_negative_node_id_is_unknown(self, diamond_app):
+        """A negative id must not index from the end of the node list."""
+        g = diamond_app.graph
+        for node_id in (-1, -len(g.nodes), -len(g.nodes) - 1):
+            with pytest.raises(GraphError, match=f"unknown node id {node_id}"):
+                g.node(node_id)
+
     def test_successors_predecessors(self, diamond_app):
         g = diamond_app.graph
         init = g.node_by_name("init").node_id

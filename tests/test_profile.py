@@ -264,6 +264,53 @@ class TestProbeGraphs:
 # ----------------------------------------------------------------------
 # Profile documents and drift
 # ----------------------------------------------------------------------
+#: The exact work of the ``chain_profile_doc`` sweep (chain 6/10/14,
+#: ``SMALL_SPEC``) per ladder point, by resolved planner backend.  The
+#: two planners share every counter but ``merge_probes`` (the reference
+#: planner's BFS against the fast planner's word-counted bitsets) and
+#: ``reach_repairs`` (fast only).
+_SHARED_SWEEP_WORK = {
+    "blocks_visited": (40, 72, 104),
+    "edges_weighted": (5, 9, 13),
+    "footprint_lines": (448, 832, 1216),
+    "footprint_unions": (20, 36, 52),
+    "frontier_updates": (0, 0, 0),
+    "perftable_queries": (10, 18, 26),
+    "weight_evals": (5, 9, 13),
+}
+SWEEP_WORK = {
+    "reference": {
+        **_SHARED_SWEEP_WORK,
+        "merge_probes": (10, 36, 78),
+        "reach_repairs": (0, 0, 0),
+    },
+    "fast": {
+        **_SHARED_SWEEP_WORK,
+        "merge_probes": (10, 18, 26),
+        "reach_repairs": (12, 20, 28),
+    },
+}
+#: (exponent, r2) of each fitted work series; a series with a zero
+#: median (``frontier_updates`` everywhere, ``reach_repairs`` under the
+#: reference planner) has no fit.
+_SHARED_SWEEP_FITS = {
+    "blocks_visited": (1.1296, 0.9998),
+    "edges_weighted": (1.1296, 0.9998),
+    "footprint_lines": (1.1812, 0.9996),
+    "footprint_unions": (1.1296, 0.9998),
+    "perftable_queries": (1.1296, 0.9998),
+    "weight_evals": (1.1296, 0.9998),
+}
+SWEEP_FITS = {
+    "reference": {**_SHARED_SWEEP_FITS, "merge_probes": (2.4311, 0.9994)},
+    "fast": {
+        **_SHARED_SWEEP_FITS,
+        "merge_probes": (1.1296, 0.9998),
+        "reach_repairs": (1.0, 1.0),
+    },
+}
+
+
 @pytest.fixture(scope="module")
 def chain_profile_doc():
     """One capture + sweep document shared by the schema tests."""
@@ -306,6 +353,25 @@ class TestProfileDocuments:
             assert probes == pytest.approx(visits)
         else:
             assert probes > visits
+
+    def test_sweep_work_is_pinned(self, chain_profile_doc):
+        """Every point's work block and every work fit, verbatim."""
+        sweep = chain_profile_doc["sweep"]
+        backend = chain_profile_doc["environment"]["planner_backend"]
+        work = SWEEP_WORK[backend]
+        assert [p["work"] for p in sweep["points"]] == [
+            {name: series[i] for name, series in work.items()}
+            for i in range(len(sweep["sizes"]))
+        ]
+        assert sweep["exponents"]["work"] == {
+            name: {
+                "exponent": exponent,
+                "ci95": [exponent, exponent],
+                "r2": r2,
+                "medians": [float(v) for v in work[name]],
+            }
+            for name, (exponent, r2) in SWEEP_FITS[backend].items()
+        }
 
     @pytest.mark.parametrize(
         "mutate",

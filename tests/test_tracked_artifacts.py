@@ -1,6 +1,6 @@
 """Every committed file the suite reads must be tracked by git.
 
-An ignore rule once swallowed ``benchmarks/BENCH_serve.json``: the
+An ignore rule once swallowed a committed benchmark document: the
 suite passed in the working tree that wrote the file and failed in
 every clean checkout.  This test lists the committed artifacts the
 suite and the CI jobs read and requires each one to be in
@@ -23,7 +23,6 @@ ROOT = Path(__file__).resolve().parent.parent
 COMMITTED_ARTIFACTS = (
     "tests/golden/*",
     "benchmarks/sweep_baseline.json",
-    "benchmarks/BENCH_serve.json",
 )
 
 

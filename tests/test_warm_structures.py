@@ -15,7 +15,8 @@ These tests require:
 * the warm plan runs no ``tile_structure``, builds no
   ``BlockMemoryLines`` and no ``AccessRange``, and misses no kernel
   line-set memo;
-* a corrupted ``structure`` entry costs only its own recompute.
+* a corrupted ``structure`` entry, or one whose node set names an id
+  the graph does not have, costs only its own recompute.
 """
 
 from __future__ import annotations
@@ -240,3 +241,38 @@ def test_corrupted_structure_entry_costs_only_its_recompute(warm, tmp_path, monk
     # The recompute heals the entry with the bytes the fill wrote.
     with open(path, "rb") as fh:
         assert fh.read() == intact
+
+
+def test_structure_entry_naming_a_negative_node_is_a_warned_miss(
+    warm, tmp_path, monkeypatch
+):
+    """-1 must not resolve to the graph's last node: the entry is
+    corrupt, and the structure is computed again."""
+    freq = POINTS[-1]
+    cold = _ktiler()
+    expected = cold.plan(freq)
+    victim = next(iter(cold._structures))
+    store = ArtifactStore(_copy(warm[0], tmp_path))
+    key = store.key_for(
+        structure_key(structure_scope(cold.graph, SPEC, True), victim)
+    )
+    path = store.path("structure", key)
+    with open(path, encoding="utf-8") as fh:
+        envelope = json.load(fh)
+    renamed = max(victim)
+    payload = envelope["payload"]
+    payload["nodes"] = sorted(-1 if v == renamed else v for v in payload["nodes"])
+    for step in payload["steps"]:
+        if step[0] == "round":
+            for launch in step[2]:
+                if launch[0] == renamed:
+                    launch[0] = -1
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(envelope, fh)
+
+    counts = _count_frequency_independent_work(monkeypatch)
+    with pytest.warns(RuntimeWarning, match="unknown node id -1"):
+        recovered = _ktiler(store=store).plan(freq)
+    assert _view(recovered) == _view(expected)
+    assert counts["tile_structure"] == [victim]
+    assert store.corrupt == 1
